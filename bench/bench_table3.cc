@@ -30,7 +30,8 @@ int main() {
       const msn::TradeoffPoint* ds = sized.MinArd();
       const msn::TradeoffPoint* ri = rep.MinArd();
 
-      t.AddRow({"T" + std::to_string(id++), std::to_string(n),
+      t.AddRow({std::string("T").append(std::to_string(id++)),
+                std::to_string(n),
                 TablePrinter::Num(ds->ard_ps, 1),
                 TablePrinter::Num(ds->cost, 0),
                 TablePrinter::Num(ri->ard_ps, 1),

@@ -49,7 +49,8 @@ int main() {
     for (std::size_t k = 0; k < frontiers.size(); ++k) {
       const double spent = frontiers[k][mm->choice[k]].cost -
                            frontiers[k].front().cost;
-      split += (k ? "/" : "") + msn::TablePrinter::Num(spent, 0);
+      if (k) split += '/';
+      split += msn::TablePrinter::Num(spent, 0);
     }
     t.AddRow({msn::TablePrinter::Num(extra, 0),
               msn::TablePrinter::Num(mm->worst_delay_ps, 0),

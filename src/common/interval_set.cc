@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <ostream>
+#include <utility>
 
 #include "common/check.h"
 #include "common/numeric.h"
@@ -10,66 +12,145 @@
 namespace msn {
 
 IntervalSet::IntervalSet(double lo, double hi) {
-  if (lo < hi) intervals_.push_back({lo, hi});
+  if (lo < hi) PushBack({lo, hi});
 }
 
-IntervalSet::IntervalSet(std::vector<Interval> intervals)
-    : intervals_(std::move(intervals)) {
+IntervalSet::IntervalSet(std::span<const Interval> intervals) {
+  Reserve(intervals.size());
+  std::copy(intervals.begin(), intervals.end(), Data());
+  size_ = static_cast<std::uint32_t>(intervals.size());
   Canonicalize();
+}
+
+IntervalSet::IntervalSet(const IntervalSet& other) {
+  Reserve(other.size_);
+  std::copy_n(other.Data(), other.size_, Data());
+  size_ = other.size_;
+}
+
+IntervalSet::IntervalSet(IntervalSet&& other) noexcept {
+  *this = std::move(other);
+}
+
+IntervalSet& IntervalSet::operator=(const IntervalSet& other) {
+  if (this != &other) {
+    size_ = 0;
+    Reserve(other.size_);
+    std::copy_n(other.Data(), other.size_, Data());
+    size_ = other.size_;
+  }
+  return *this;
+}
+
+IntervalSet& IntervalSet::operator=(IntervalSet&& other) noexcept {
+  if (this != &other) {
+    if (other.heap_) {
+      heap_ = std::move(other.heap_);
+      capacity_ = other.capacity_;
+    } else {
+      heap_.reset();
+      capacity_ = kInline;
+      std::copy_n(other.inline_, other.size_, inline_);
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+    other.capacity_ = kInline;
+  }
+  return *this;
 }
 
 IntervalSet IntervalSet::NonNegativeReals() { return IntervalSet(0.0, kInf); }
 
+void IntervalSet::Reserve(std::size_t n) {
+  if (n <= capacity_) return;
+  const std::size_t capacity = std::max<std::size_t>(n, 2 * capacity_);
+  auto grown = std::make_unique<Interval[]>(capacity);
+  std::copy_n(Data(), size_, grown.get());
+  heap_ = std::move(grown);
+  capacity_ = static_cast<std::uint32_t>(capacity);
+}
+
+void IntervalSet::PushBack(Interval i) {
+  Reserve(std::size_t{size_} + 1);
+  Data()[size_++] = i;
+}
+
 void IntervalSet::Canonicalize() {
-  std::erase_if(intervals_, [](const Interval& i) { return i.Empty(); });
-  std::sort(intervals_.begin(), intervals_.end(),
+  Interval* const first = Data();
+  Interval* const last = std::remove_if(
+      first, first + size_, [](const Interval& i) { return i.Empty(); });
+  std::sort(first, last,
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
-  std::vector<Interval> merged;
-  for (const Interval& i : intervals_) {
-    if (!merged.empty() && i.lo <= merged.back().hi) {
-      merged.back().hi = std::max(merged.back().hi, i.hi);
+  // Merge in place: the write cursor never passes the read cursor.
+  std::uint32_t kept = 0;
+  for (const Interval* i = first; i != last; ++i) {
+    if (kept > 0 && i->lo <= first[kept - 1].hi) {
+      first[kept - 1].hi = std::max(first[kept - 1].hi, i->hi);
     } else {
-      merged.push_back(i);
+      first[kept++] = *i;
     }
   }
-  intervals_ = std::move(merged);
+  size_ = kept;
 }
 
 bool IntervalSet::Contains(double x) const {
   // Binary search for the first interval with lo > x, then check its
   // predecessor.
-  auto it = std::upper_bound(
-      intervals_.begin(), intervals_.end(), x,
+  const Interval* const first = Data();
+  const Interval* it = std::upper_bound(
+      first, first + size_, x,
       [](double v, const Interval& i) { return v < i.lo; });
-  if (it == intervals_.begin()) return false;
+  if (it == first) return false;
   return std::prev(it)->Contains(x);
 }
 
 double IntervalSet::TotalLength() const {
   double total = 0.0;
-  for (const Interval& i : intervals_) total += i.Length();
+  for (const Interval& i : Intervals()) total += i.Length();
   return total;
 }
 
 double IntervalSet::Min() const {
   MSN_CHECK_MSG(!Empty(), "Min() of empty IntervalSet");
-  return intervals_.front().lo;
+  return Data()[0].lo;
+}
+
+void IntervalSet::Add(double lo, double hi) {
+  if (!(lo < hi)) return;
+  if (size_ > 0) {
+    Interval& back = Data()[size_ - 1];
+    if (lo < back.lo) {
+      PushBack({lo, hi});
+      Canonicalize();
+      return;
+    }
+    if (lo <= back.hi) {
+      back.hi = std::max(back.hi, hi);
+      return;
+    }
+  }
+  PushBack({lo, hi});
 }
 
 IntervalSet IntervalSet::Union(const IntervalSet& other) const {
-  std::vector<Interval> all = intervals_;
-  all.insert(all.end(), other.intervals_.begin(), other.intervals_.end());
-  return IntervalSet(std::move(all));
+  IntervalSet result = *this;
+  result.Reserve(std::size_t{size_} + other.size_);
+  for (const Interval& i : other.Intervals()) result.PushBack(i);
+  result.Canonicalize();
+  return result;
 }
 
 IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
-  std::vector<Interval> out;
-  auto a = intervals_.begin();
-  auto b = other.intervals_.begin();
-  while (a != intervals_.end() && b != other.intervals_.end()) {
+  // The output is already disjoint and sorted.
+  IntervalSet result;
+  const Interval* a = Data();
+  const Interval* const a_end = a + size_;
+  const Interval* b = other.Data();
+  const Interval* const b_end = b + other.size_;
+  while (a != a_end && b != b_end) {
     const double lo = std::max(a->lo, b->lo);
     const double hi = std::min(a->hi, b->hi);
-    if (lo < hi) out.push_back({lo, hi});
+    if (lo < hi) result.PushBack({lo, hi});
     // Advance whichever interval ends first.
     if (a->hi < b->hi) {
       ++a;
@@ -77,42 +158,43 @@ IntervalSet IntervalSet::Intersect(const IntervalSet& other) const {
       ++b;
     }
   }
-  IntervalSet result;
-  result.intervals_ = std::move(out);  // Already disjoint and sorted.
   return result;
 }
 
 IntervalSet IntervalSet::Subtract(const IntervalSet& other) const {
-  std::vector<Interval> out;
-  auto b = other.intervals_.begin();
-  for (Interval rem : intervals_) {
+  IntervalSet result;
+  const Interval* b = other.Data();
+  const Interval* const b_end = b + other.size_;
+  for (Interval rem : Intervals()) {
     while (!rem.Empty()) {
       // Skip subtrahend intervals entirely to the left of `rem`.
-      while (b != other.intervals_.end() && b->hi <= rem.lo) ++b;
-      if (b == other.intervals_.end() || b->lo >= rem.hi) {
-        out.push_back(rem);
+      while (b != b_end && b->hi <= rem.lo) ++b;
+      if (b == b_end || b->lo >= rem.hi) {
+        result.PushBack(rem);
         break;
       }
-      if (b->lo > rem.lo) out.push_back({rem.lo, b->lo});
+      if (b->lo > rem.lo) result.PushBack({rem.lo, b->lo});
       rem.lo = b->hi;  // Continue with the part right of the subtrahend.
     }
   }
-  IntervalSet result;
-  result.intervals_ = std::move(out);
   return result;
 }
 
 IntervalSet IntervalSet::Shift(double delta, double clip_lo) const {
-  std::vector<Interval> out;
-  out.reserve(intervals_.size());
-  for (const Interval& i : intervals_) {
+  IntervalSet result;
+  result.Reserve(size_);
+  for (const Interval& i : Intervals()) {
     const double lo = std::max(i.lo + delta, clip_lo);
     const double hi = std::isinf(i.hi) ? i.hi : i.hi + delta;
-    if (lo < hi) out.push_back({lo, hi});
+    if (lo < hi) result.PushBack({lo, hi});
   }
-  IntervalSet result;
-  result.intervals_ = std::move(out);
   return result;
+}
+
+bool operator==(const IntervalSet& a, const IntervalSet& b) {
+  const std::span<const Interval> x = a.Intervals();
+  const std::span<const Interval> y = b.Intervals();
+  return std::equal(x.begin(), x.end(), y.begin(), y.end());
 }
 
 std::ostream& operator<<(std::ostream& os, const IntervalSet& s) {

@@ -4,13 +4,18 @@
 // external-capacitance axis on which a dynamic-programming solution is still
 // potentially optimal.  Intervals may extend to +infinity on the right.
 //
-// The representation is a sorted vector of non-overlapping, non-adjacent
-// intervals; all operations restore that canonical form.
+// The representation is a sorted array of non-overlapping, non-adjacent
+// intervals; all operations restore that canonical form.  Validity regions
+// almost always hold one or two intervals, and the MFS dominance test builds
+// and discards several sets per call, so the first kInline intervals live
+// inside the object and only larger sets spill to the heap.
 #ifndef MSN_COMMON_INTERVAL_SET_H
 #define MSN_COMMON_INTERVAL_SET_H
 
+#include <cstdint>
 #include <iosfwd>
-#include <vector>
+#include <memory>
+#include <span>
 
 namespace msn {
 
@@ -30,6 +35,9 @@ struct Interval {
 /// MFS pruner needs: union, intersection, difference, shift and queries.
 class IntervalSet {
  public:
+  /// Intervals stored without a heap allocation.
+  static constexpr std::size_t kInline = 2;
+
   /// The empty set.
   IntervalSet() = default;
 
@@ -37,14 +45,20 @@ class IntervalSet {
   IntervalSet(double lo, double hi);
 
   /// Builds from arbitrary (possibly overlapping, unsorted) intervals.
-  explicit IntervalSet(std::vector<Interval> intervals);
+  explicit IntervalSet(std::span<const Interval> intervals);
+
+  IntervalSet(const IntervalSet& other);
+  IntervalSet& operator=(const IntervalSet& other);
+  /// Moves leave `other` empty.
+  IntervalSet(IntervalSet&& other) noexcept;
+  IntervalSet& operator=(IntervalSet&& other) noexcept;
 
   /// The whole domain used by MFS: [0, +inf).
   static IntervalSet NonNegativeReals();
 
-  bool Empty() const { return intervals_.empty(); }
-  std::size_t Size() const { return intervals_.size(); }
-  const std::vector<Interval>& Intervals() const { return intervals_; }
+  bool Empty() const { return size_ == 0; }
+  std::size_t Size() const { return size_; }
+  std::span<const Interval> Intervals() const { return {Data(), size_}; }
 
   bool Contains(double x) const;
 
@@ -53,6 +67,11 @@ class IntervalSet {
 
   /// Smallest point of the set (undefined on empty set — checked).
   double Min() const;
+
+  /// Adds [lo, hi) in place (an empty interval is a no-op).  Adding in
+  /// non-decreasing `lo` order costs O(1) per call, which is how sweeps
+  /// such as Pwl::RegionLessEqual build their result.
+  void Add(double lo, double hi);
 
   IntervalSet Union(const IntervalSet& other) const;
   IntervalSet Intersect(const IntervalSet& other) const;
@@ -65,12 +84,21 @@ class IntervalSet {
   /// parent's external-capacitance coordinate.
   IntervalSet Shift(double delta, double clip_lo = 0.0) const;
 
-  friend bool operator==(const IntervalSet&, const IntervalSet&) = default;
+  friend bool operator==(const IntervalSet& a, const IntervalSet& b);
 
  private:
+  Interval* Data() { return heap_ ? heap_.get() : inline_; }
+  const Interval* Data() const { return heap_ ? heap_.get() : inline_; }
+  /// Grows capacity to at least `n`, keeping the contents.
+  void Reserve(std::size_t n);
+  /// Appends without restoring canonical form.
+  void PushBack(Interval i);
   void Canonicalize();
 
-  std::vector<Interval> intervals_;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = kInline;
+  Interval inline_[kInline];
+  std::unique_ptr<Interval[]> heap_;  ///< Set once size exceeds kInline.
 };
 
 std::ostream& operator<<(std::ostream& os, const IntervalSet& s);

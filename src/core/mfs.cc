@@ -1,14 +1,11 @@
 #include "core/mfs.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
-
-#include "common/numeric.h"
 
 namespace msn {
 namespace {
-
-bool ScalarLeq(double a, double b, double eps) { return a <= b + eps; }
 
 void SortByCostCap(SolutionSet& set) {
   std::sort(set.begin(), set.end(),
@@ -18,130 +15,42 @@ void SortByCostCap(SolutionSet& set) {
             });
 }
 
-/// All-pairs pruning over `set`, in place; dead entries become nullptr.
-/// Precondition: entries are non-null and sorted by (cost, cap) — callers
-/// sort before pruning, and divide-and-conquer slices of a sorted set
-/// stay sorted.  PruneByDominance tests cost before anything else, so a
-/// dominator i can never prune a victim j with cost[j] < cost[i] - eps;
-/// the sort makes those victims a prefix of each row, skipped wholesale
-/// without running the test (predictive pruning — the skip is decided
-/// from the sort invariant, not from the comparison itself).
-void PairwisePrune(SolutionSet& set, const MfsOptions& options,
-                   MfsStats* stats) {
-  const std::size_t n = set.size();
-  // Cost column snapshot: victims nulled mid-loop keep their slot's role
-  // in the ordering, so the prefix threshold stays well defined.
-  std::vector<double> cost(n);
-  for (std::size_t i = 0; i < n; ++i) cost[i] = set[i]->cost;
-  const double cost_eps = options.CostEps();
-  std::size_t lo = 0;  // first j that row i could possibly prune
-  for (std::size_t i = 0; i < n; ++i) {
-    while (lo < n && cost[lo] < cost[i] - cost_eps) ++lo;
-    if (!set[i]) continue;
-    if (stats) {
-      // Tests the unsorted all-pairs loop would have run and lost on the
-      // cost check.  lo <= i, so j == i never lands in this prefix.
-      for (std::size_t j = 0; j < lo; ++j) {
-        if (set[j]) ++stats->predictive_skipped;
-      }
-    }
-    for (std::size_t j = lo; j < n; ++j) {
-      if (i == j || !set[j]) continue;
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*set[i], *set[j], options, stats)) {
-        if (stats) ++stats->pruned;
-        set[j] = nullptr;
-      }
-    }
-  }
+/// The per-dimension slacks of one ComputeMfs call, read once.
+struct Slack {
+  explicit Slack(const MfsOptions& options)
+      : cost(options.CostEps()),
+        cap(options.CapEps()),
+        delay(options.DelayEps()) {}
+  double cost;
+  double cap;
+  double delay;
+};
+
+/// RowMayDominate's test, with the slacks read once per call.  Parity
+/// classes are incomparable: a later inverter turns one into the feasible
+/// class and the other into the infeasible one.  The other scalars are
+/// each monotone, so any one of them worse beyond its slack rules the
+/// dominator out.
+bool MayDominate(const MfsRow& d, const MfsRow& v, const Slack& slack) {
+  return d.parity == v.parity && d.cost <= v.cost + slack.cost &&
+         d.cap <= v.cap + slack.cap &&
+         d.stage_span_um <= v.stage_span_um + 1e-6 &&
+         d.stage_diam_um <= v.stage_diam_um + 1e-6 &&
+         d.sink_delay <= v.sink_delay + slack.delay;
 }
 
-void CrossPrune(SolutionSet& left, SolutionSet& right,
-                const MfsOptions& options, MfsStats* stats) {
-  const double cost_eps = options.CostEps();
-  for (SolutionPtr& l : left) {
-    if (!l) continue;
-    for (SolutionPtr& r : right) {
-      if (!l) break;       // l was just pruned by some r; row is done
-      if (!r) continue;    // already-pruned slot; later slots may be live
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*l, *r, options, stats)) {
-        if (stats) ++stats->pruned;
-        r = nullptr;
-        continue;
-      }
-      // Every left cost <= every right cost (the recursion splits a
-      // (cost, cap)-sorted set and never reorders), so r can undercut l
-      // on cost only inside the eps band; outside it the reverse test is
-      // decided by the sort invariant without running.
-      if (r->cost > l->cost + cost_eps) {
-        if (stats) ++stats->predictive_skipped;
-        continue;
-      }
-      if (stats) ++stats->comparisons;
-      if (PruneByDominance(*r, *l, options, stats)) {
-        if (stats) ++stats->pruned;
-        l = nullptr;
-      }
-    }
-  }
-}
-
-void Compact(SolutionSet& set) {
-  std::erase_if(set, [](const SolutionPtr& s) { return s == nullptr; });
-}
-
-void MfsRecurse(SolutionSet& set, const MfsOptions& options,
-                MfsStats* stats) {
-  if (set.size() <= options.base_case) {
-    PairwisePrune(set, options, stats);
-    Compact(set);
-    return;
-  }
-  const std::size_t mid = set.size() / 2;
-  SolutionSet left(set.begin(), set.begin() + static_cast<std::ptrdiff_t>(mid));
-  SolutionSet right(set.begin() + static_cast<std::ptrdiff_t>(mid),
-                    set.end());
-  MfsRecurse(left, options, stats);
-  MfsRecurse(right, options, stats);
-  CrossPrune(left, right, options, stats);
-  Compact(left);
-  Compact(right);
-  set.clear();
-  set.insert(set.end(), left.begin(), left.end());
-  set.insert(set.end(), right.begin(), right.end());
-}
-
-}  // namespace
-
-bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
-                      const MfsOptions& options, MfsStats* stats) {
-  if (victim.valid.Empty()) return true;
-  if (&dominator == &victim) return false;
-  // Parity classes are incomparable: a later inverter turns one into the
-  // feasible class and the other into the infeasible one.
-  if (dominator.parity != victim.parity) return false;
-  if (!ScalarLeq(dominator.cost, victim.cost, options.CostEps())) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.cap, victim.cap, options.CapEps())) return false;
-  if (!ScalarLeq(dominator.stage_span_um, victim.stage_span_um, 1e-6)) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.stage_diam_um, victim.stage_diam_um, 1e-6)) {
-    return false;
-  }
-  if (!ScalarLeq(dominator.sink_delay, victim.sink_delay,
-                 options.DelayEps())) {
-    return false;
-  }
+/// The PWL half of PruneByDominance, for a pair whose scalars already
+/// passed MayDominate.
+bool PruneRegion(const MsriSolution& dominator, MsriSolution& victim,
+                 double delay_eps, MfsStats* stats) {
   if (dominator.valid.Empty()) return false;
-
-  const double delay_eps = options.DelayEps();
-  IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, delay_eps)
-                           .Intersect(dominator.diam.RegionLessEqual(
-                               victim.diam, delay_eps))
-                           .Intersect(dominator.valid);
+  if (stats) ++stats->region_tests;
+  IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, delay_eps);
+  // An empty arr region empties the intersection; skip the diam sweep.
+  if (region.Empty()) return false;
+  region = region.Intersect(dominator.diam.RegionLessEqual(victim.diam,
+                                                           delay_eps))
+               .Intersect(dominator.valid);
   if (region.Empty()) return false;
   victim.valid = victim.valid.Subtract(region);
   if (!victim.valid.Empty()) {
@@ -151,48 +60,189 @@ bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
   return true;
 }
 
+/// The pruning state of one ComputeMfs call over a (cost, cap)-sorted set:
+/// a scalar row per entry, a live mask, and the call's counters.  Pruning
+/// clears live bits only; Compact drops the dead entries at the end, so
+/// the divide-and-conquer recursion works on index ranges of one array.
+///
+/// Every live entry has a non-empty valid region (ComputeMfs drops empty
+/// ones up front and an entry dies as soon as its region empties), so a
+/// pair rejected by MayDominate is exactly a pair PruneByDominance would
+/// reject without side effects; only the survivors dereference their
+/// solutions.
+class Pruner {
+ public:
+  Pruner(SolutionSet& set, const MfsOptions& options, MfsStats& stats)
+      : set_(set),
+        base_case_(options.base_case),
+        slack_(options),
+        stats_(stats),
+        live_(set.size(), 1) {
+    rows_.reserve(set.size());
+    for (const SolutionPtr& s : set) rows_.push_back(MfsRow::Of(*s));
+  }
+
+  /// Fig. 4: split, recurse, cross-prune the survivors.  Every entry of
+  /// [begin, end) is still live on entry, so the split sizes match a
+  /// recursion over compacted copies.
+  void Recurse(std::size_t begin, std::size_t end) {
+    if (end - begin <= base_case_) {
+      Pairwise(begin, end);
+      return;
+    }
+    const std::size_t mid = begin + (end - begin) / 2;
+    Recurse(begin, mid);
+    Recurse(mid, end);
+    Cross(begin, mid, end);
+  }
+
+  /// All-pairs pruning over [begin, end).  The row test rejects a
+  /// dominator i against any victim j with cost[j] < cost[i] - eps before
+  /// any side effect; the sort makes those victims a prefix of each row,
+  /// skipped wholesale without running the test (predictive pruning — the
+  /// skip is decided from the sort invariant, not from the comparison
+  /// itself).
+  void Pairwise(std::size_t begin, std::size_t end) {
+    std::size_t lo = begin;  // first j that row i could possibly prune
+    // Live entries below lo: the tests the unsorted all-pairs loop would
+    // have run and lost on the cost check.  No row prunes below its lo,
+    // so an entry's bit is final once lo has passed it.
+    std::size_t live_below = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      while (lo < end && rows_[lo].cost < rows_[i].cost - slack_.cost) {
+        live_below += live_[lo];
+        ++lo;
+      }
+      if (!live_[i]) continue;
+      stats_.predictive_skipped += live_below;
+      for (std::size_t j = lo; j < end; ++j) {
+        if (i == j || !live_[j]) continue;
+        ++stats_.comparisons;
+        if (Prunes(i, j)) {
+          ++stats_.pruned;
+          live_[j] = 0;
+        }
+      }
+    }
+  }
+
+  /// Cross-prunes [begin, mid) against [mid, end), in both directions.
+  void Cross(std::size_t begin, std::size_t mid, std::size_t end) {
+    for (std::size_t l = begin; l < mid; ++l) {
+      if (!live_[l]) continue;
+      for (std::size_t r = mid; r < end; ++r) {
+        if (!live_[r]) continue;  // already pruned; later slots may be live
+        ++stats_.comparisons;
+        if (Prunes(l, r)) {
+          ++stats_.pruned;
+          live_[r] = 0;
+          continue;
+        }
+        // Every left cost <= every right cost (the recursion splits a
+        // (cost, cap)-sorted set and never reorders), so r can undercut l
+        // on cost only inside the eps band; outside it the reverse test is
+        // decided by the sort invariant without running.
+        if (rows_[r].cost > rows_[l].cost + slack_.cost) {
+          ++stats_.predictive_skipped;
+          continue;
+        }
+        ++stats_.comparisons;
+        if (Prunes(r, l)) {
+          ++stats_.pruned;
+          live_[l] = 0;
+          break;  // l is gone; its row is done
+        }
+      }
+    }
+  }
+
+  /// Removes the dead entries from the set, keeping the survivors' order.
+  void Compact() {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < set_.size(); ++i) {
+      if (live_[i]) set_[kept++] = std::move(set_[i]);
+    }
+    set_.resize(kept);
+  }
+
+ private:
+  bool Prunes(std::size_t d, std::size_t v) {
+    return MayDominate(rows_[d], rows_[v], slack_) &&
+           PruneRegion(*set_[d], *set_[v], slack_.delay, &stats_);
+  }
+
+  SolutionSet& set_;
+  const std::size_t base_case_;
+  const Slack slack_;
+  MfsStats& stats_;
+  std::vector<MfsRow> rows_;
+  std::vector<std::uint8_t> live_;
+};
+
+}  // namespace
+
+MfsStats& MfsStats::operator+=(const MfsStats& other) {
+  calls += other.calls;
+  candidates_in += other.candidates_in;
+  candidates_out += other.candidates_out;
+  comparisons += other.comparisons;
+  predictive_skipped += other.predictive_skipped;
+  region_tests += other.region_tests;
+  pruned += other.pruned;
+  pruned_partial += other.pruned_partial;
+  return *this;
+}
+
+bool RowMayDominate(const MfsRow& dominator, const MfsRow& victim,
+                    const MfsOptions& options) {
+  return MayDominate(dominator, victim, Slack(options));
+}
+
+bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
+                      const MfsOptions& options, MfsStats* stats) {
+  if (victim.valid.Empty()) return true;
+  if (&dominator == &victim) return false;
+  if (!RowMayDominate(MfsRow::Of(dominator), MfsRow::Of(victim), options)) {
+    return false;
+  }
+  return PruneRegion(dominator, victim, options.DelayEps(), stats);
+}
+
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
                        MfsStats* stats, obs::StatsSink* sink) {
   const obs::ScopedTimer timer(sink != nullptr ? sink->mfs_time : nullptr);
-  // The sink needs per-call deltas even when the caller passes no stats.
-  MfsStats local;
-  if (stats == nullptr && sink != nullptr) stats = &local;
-  const MfsStats before = stats != nullptr ? *stats : MfsStats{};
-  const std::size_t candidates_in = set.size();
-  if (stats) {
-    ++stats->calls;
-    stats->candidates_in += candidates_in;
-  }
+  MfsStats call;
+  call.calls = 1;
+  call.candidates_in = set.size();
 
   std::erase_if(set,
                 [](const SolutionPtr& s) { return !s || s->valid.Empty(); });
-  if (options.mode == MfsOptions::Mode::kOff || set.size() < 2) {
-    SortByCostCap(set);
-  } else {
-    // Sorting by (cost, cap) first puts likely dominators early, making
-    // the divide-and-conquer discard suboptimal solutions deep in the
-    // recursion (the paper's Section V implementation note).
-    SortByCostCap(set);
+  // Sorting by (cost, cap) first puts likely dominators early, making
+  // the divide-and-conquer discard suboptimal solutions deep in the
+  // recursion (the paper's Section V implementation note).
+  SortByCostCap(set);
+  if (options.mode != MfsOptions::Mode::kOff && set.size() >= 2) {
+    Pruner pruner(set, options, call);
     if (options.mode == MfsOptions::Mode::kQuadratic) {
-      PairwisePrune(set, options, stats);
-      Compact(set);
+      pruner.Pairwise(0, set.size());
     } else {
-      MfsRecurse(set, options, stats);
+      pruner.Recurse(0, set.size());
     }
+    pruner.Compact();
     SortByCostCap(set);
   }
+  call.candidates_out = set.size();
 
-  if (stats) stats->candidates_out += set.size();
+  if (stats) *stats += call;
   if (sink != nullptr) {
     sink->mfs_calls->Add(1);
-    sink->mfs_candidates_in->Add(candidates_in);
-    sink->mfs_candidates_out->Add(set.size());
-    sink->mfs_comparisons->Add(stats->comparisons - before.comparisons);
-    sink->mfs_predictive_skipped->Add(stats->predictive_skipped -
-                                      before.predictive_skipped);
-    sink->mfs_pruned_full->Add(stats->pruned - before.pruned);
-    sink->mfs_pruned_partial->Add(stats->pruned_partial -
-                                  before.pruned_partial);
+    sink->mfs_candidates_in->Add(call.candidates_in);
+    sink->mfs_candidates_out->Add(call.candidates_out);
+    sink->mfs_comparisons->Add(call.comparisons);
+    sink->mfs_predictive_skipped->Add(call.predictive_skipped);
+    sink->mfs_region_tests->Add(call.region_tests);
+    sink->mfs_pruned_full->Add(call.pruned);
+    sink->mfs_pruned_partial->Add(call.pruned_partial);
   }
   return set;
 }

@@ -72,9 +72,18 @@ struct MfsStats {
   /// entries were still alive, and at most one orientation of a pair can
   /// ever be skipped.
   std::size_t predictive_skipped = 0;
+  /// Dominance tests that passed the scalar prefilter and reached the
+  /// PWL region computation.  pruned + pruned_partial <= region_tests <=
+  /// comparisons: every prune needs a non-empty region, and every region
+  /// test is one of the counted comparisons.
+  std::size_t region_tests = 0;
   std::size_t pruned = 0;       ///< Solutions fully invalidated.
   std::size_t pruned_partial = 0;  ///< Partial-domain prunes (valid shrank
                                    ///< without emptying).
+
+  /// Field-wise sum; every field is a count, so accumulation is
+  /// order-insensitive.
+  MfsStats& operator+=(const MfsStats& other);
 };
 
 /// Prunes `set` to (a superset of) its minimal functional subset.
@@ -85,6 +94,32 @@ struct MfsStats {
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
                        MfsStats* stats = nullptr,
                        obs::StatsSink* sink = nullptr);
+
+/// The scalar coordinates of a solution that the dominance test compares
+/// before it touches any PWL: parity, cost, cap, the two stage lengths and
+/// sink_delay.  ComputeMfs keeps one row per candidate in a flat array so
+/// that most dominance tests are decided without dereferencing a solution.
+struct MfsRow {
+  double cost = 0.0;
+  double cap = 0.0;
+  double stage_span_um = 0.0;
+  double stage_diam_um = 0.0;
+  double sink_delay = 0.0;
+  int parity = 0;
+
+  static MfsRow Of(const MsriSolution& s) {
+    return {s.cost, s.cap, s.stage_span_um, s.stage_diam_um, s.sink_delay,
+            s.parity};
+  }
+};
+
+/// The scalar half of PruneByDominance: false exactly when the scalars
+/// alone rule out `dominator` pruning any part of `victim` (different
+/// parity, or `dominator` worse beyond the slack in some scalar).  When
+/// this returns false, PruneByDominance returns false and leaves the
+/// victim untouched (given a non-empty victim valid region).
+bool RowMayDominate(const MfsRow& dominator, const MfsRow& victim,
+                    const MfsOptions& options);
 
 /// Single dominance test: shrinks victim->valid by the region where
 /// `dominator` (on its own valid region) is no worse in all five

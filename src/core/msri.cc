@@ -348,13 +348,7 @@ void MergeStats(MsriStats& into, const MsriStats& from) {
   into.max_set_size = std::max(into.max_set_size, from.max_set_size);
   into.max_pwl_segments =
       std::max(into.max_pwl_segments, from.max_pwl_segments);
-  into.mfs.calls += from.mfs.calls;
-  into.mfs.candidates_in += from.mfs.candidates_in;
-  into.mfs.candidates_out += from.mfs.candidates_out;
-  into.mfs.comparisons += from.mfs.comparisons;
-  into.mfs.predictive_skipped += from.mfs.predictive_skipped;
-  into.mfs.pruned += from.mfs.pruned;
-  into.mfs.pruned_partial += from.mfs.pruned_partial;
+  into.mfs += from.mfs;
 }
 
 /// The fan-out is worth its overhead only when at least two siblings

@@ -193,10 +193,12 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
   const double* gb = g.store_.Intercept();
   const double* gm = g.store_.Slope();
 
-  std::vector<Interval> where;
+  IntervalSet where;
   // Same two-pointer sweep as Max; the region endpoints must stay exactly
   // the crossover coordinates dominance pruning computed before the SoA
-  // rework, so no merge epsilon is applied here.
+  // rework, so no merge epsilon is applied here.  Each piece lies inside
+  // its own sweep window, so pieces arrive in increasing order and Add
+  // appends (or merges with the previous piece) without re-sorting.
   std::size_t i = 0;
   std::size_t j = 0;
   double a = 0.0;
@@ -209,17 +211,17 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
     const double di = fb[i] - gb[j] - eps;
     const double ds = fm[i] - gm[j];
     if (ds == 0.0) {
-      if (di <= 0.0) where.push_back({a, b});
+      if (di <= 0.0) where.Add(a, b);
     } else {
       const double xc = -di / ds;
       if (ds > 0.0) {
         // Satisfied for x <= xc.
         const double hi = std::min(b, xc);
-        if (a < hi) where.push_back({a, hi});
+        where.Add(a, hi);
       } else {
         // Satisfied for x >= xc.
         const double lo = std::max(a, xc);
-        if (lo < b) where.push_back({lo, b});
+        where.Add(lo, b);
       }
     }
 
@@ -228,7 +230,7 @@ IntervalSet Pwl::RegionLessEqual(const Pwl& g, double eps) const {
     if (next_f == b) ++i;
     if (next_g == b) ++j;
   }
-  return IntervalSet(std::move(where));
+  return where;
 }
 
 void Pwl::Simplify(double eps) {

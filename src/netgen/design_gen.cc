@@ -17,6 +17,14 @@ namespace msn {
 
 namespace {
 
+/// `prefix` followed by the decimal `n`.  Built by appending: GCC 12 at
+/// -O3 reports a false -Wrestrict on `"literal" + std::string&&`.
+std::string Numbered(const char* prefix, std::size_t n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
 std::string NetFileName(std::size_t index) {
   std::ostringstream os;
   os << "net_" << std::setw(4) << std::setfill('0') << index << ".msn";
@@ -78,7 +86,7 @@ sta::Design GenerateDesign(const DesignConfig& config,
           d = (d + 1) % drivers.size();
           if (d == picked[0]) {
             // Only one driver exists; fall back to a fresh input.
-            const std::string name = "pi" + std::to_string(num_inputs++);
+            const std::string name = Numbered("pi", num_inputs++);
             design.AddInputPort(
                 name, rng.UniformReal(0.0, config.arrival_max_ps));
             tokens.push_back(name);
@@ -88,7 +96,7 @@ sta::Design GenerateDesign(const DesignConfig& config,
         picked.push_back(d);
         tokens.push_back(drivers[d].token);
       } else {
-        const std::string name = "pi" + std::to_string(num_inputs++);
+        const std::string name = Numbered("pi", num_inputs++);
         design.AddInputPort(name,
                             rng.UniformReal(0.0, config.arrival_max_ps));
         tokens.push_back(name);
@@ -104,11 +112,11 @@ sta::Design GenerateDesign(const DesignConfig& config,
     const std::size_t comp_sinks = want_output ? sinks - 1 : sinks;
     std::size_t comp = sta::kNoIndex;
     if (comp_sinks > 0) {
-      const std::string cname = "u" + std::to_string(n);
+      const std::string cname = Numbered("u", n);
       comp = design.AddComponent(cname);
       design.AddPin(comp, "o", sta::PinDir::kOut);
       for (std::size_t i = 0; i < comp_sinks; ++i) {
-        const std::string pname = "i" + std::to_string(i);
+        const std::string pname = Numbered("i", i);
         design.AddPin(comp, pname, sta::PinDir::kIn);
         design.AddArc(comp, pname, "o",
                       rng.UniformReal(config.arc_delay_min_ps,
@@ -121,7 +129,7 @@ sta::Design GenerateDesign(const DesignConfig& config,
       drivers.push_back(std::move(d));
     }
     if (want_output) {
-      const std::string name = "po" + std::to_string(num_outputs++);
+      const std::string name = Numbered("po", num_outputs++);
       design.AddOutputPort(name, 0.0);  // Required set after timing.
       tokens.push_back(name);
     }
@@ -139,7 +147,7 @@ sta::Design GenerateDesign(const DesignConfig& config,
       p.is_sink = t >= sources;
     }
     const std::size_t net = design.AddNet(
-        "n" + std::to_string(n), NetFileName(n), tokens);
+        Numbered("n", n), NetFileName(n), tokens);
     design.nets[net].tree = std::move(tree);
   }
 

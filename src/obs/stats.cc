@@ -216,6 +216,7 @@ StatsSink::StatsSink(RunStats* registry) : registry_(registry) {
   mfs_candidates_out = &registry->GetCounter("mfs.candidates_out");
   mfs_comparisons = &registry->GetCounter("mfs.comparisons");
   mfs_predictive_skipped = &registry->GetCounter("mfs.predictive_skipped");
+  mfs_region_tests = &registry->GetCounter("mfs.region_tests");
   mfs_pruned_full = &registry->GetCounter("mfs.pruned_full");
   mfs_pruned_partial = &registry->GetCounter("mfs.pruned_partial");
 

@@ -233,6 +233,7 @@ class StatsSink {
   Counter* mfs_comparisons;
   Counter* mfs_predictive_skipped;  ///< Tests decided by the (cost, cap)
                                     ///< sort alone; always <= comparisons.
+  Counter* mfs_region_tests;  ///< Tests that reached the PWL region step.
   Counter* mfs_pruned_full;     ///< Solutions fully invalidated.
   Counter* mfs_pruned_partial;  ///< Partial-domain prunes (valid shrank).
 

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/msri.h"
+#include "netgen/netgen.h"
 
 namespace msn {
 namespace {
@@ -324,6 +327,111 @@ TEST_P(MfsModeAgreement, SameCoverage) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MfsModeAgreement,
                          ::testing::Range<std::uint64_t>(1, 11));
+
+/// The scalar row prefilter must be sound: whenever RowMayDominate rejects
+/// a pair, PruneByDominance returns false and leaves the victim's valid
+/// region untouched.  Coordinates are drawn from a few discrete values so
+/// that ties and near-ties within the slacks are common.
+TEST(MfsPrefilter, RejectImpliesNoPruneAndNoSideEffect) {
+  Rng rng(20250917);
+  auto pick = [&rng](std::initializer_list<double> values) {
+    const auto k = rng.UniformInt(0, static_cast<int>(values.size()) - 1);
+    return *(values.begin() + k);
+  };
+  auto random_solution = [&] {
+    SolutionPtr s = Make(pick({1.0, 1.0 + 5e-10, 2.0, 3.0}),
+                         pick({0.1, 0.1 + 5e-10, 0.2, 0.3}),
+                         pick({-kInf, 10.0, 10.0 + 5e-10, 20.0}),
+                         Pwl::Line(pick({5.0, 50.0, 100.0}),
+                                   pick({0.0, 10.0, 30.0})),
+                         pick({0.0, 1.0}) == 0.0
+                             ? Pwl::NegInf()
+                             : Pwl::Line(pick({5.0, 80.0}),
+                                         pick({0.0, 20.0})));
+    s->stage_span_um = pick({0.0, 100.0, 100.0 + 5e-7, 200.0});
+    s->stage_diam_um = pick({0.0, 300.0, 300.0 + 5e-7, 400.0});
+    s->parity = static_cast<int>(pick({0.0, 1.0}));
+    const double lo = pick({0.0, 0.5});
+    s->valid = IntervalSet(lo, pick({2.0, kInf}));
+    return s;
+  };
+  const MfsOptions options;
+  std::size_t rejected = 0;
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const SolutionPtr d = random_solution();
+    const SolutionPtr v = random_solution();
+    if (RowMayDominate(MfsRow::Of(*d), MfsRow::Of(*v), options)) {
+      ++accepted;
+      continue;
+    }
+    ++rejected;
+    const IntervalSet before = v->valid;
+    MfsStats stats;
+    EXPECT_FALSE(PruneByDominance(*d, *v, options, &stats));
+    EXPECT_EQ(v->valid, before);
+    EXPECT_EQ(stats.region_tests, 0u);
+    EXPECT_EQ(stats.pruned_partial, 0u);
+  }
+  // Both outcomes must be well represented for the property to mean much.
+  EXPECT_GT(rejected, 1000u);
+  EXPECT_GT(accepted, 1000u);
+}
+
+/// Counter regression: MFS on fixed 10-pin nets must perform exactly the
+/// dominance tests, predictive skips and prunes recorded before the
+/// columnar prefilter kernel replaced the pointer-chasing loop.  Any
+/// change here means the pruning visits pairs in a different order or
+/// decides them differently.
+TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
+  struct Pinned {
+    std::uint64_t seed;
+    MfsOptions::Mode mode;
+    std::size_t comparisons;
+    std::size_t predictive_skipped;
+    std::size_t pruned;
+    std::size_t pruned_partial;
+    std::size_t candidates_in;
+    std::size_t candidates_out;
+  };
+  using enum MfsOptions::Mode;
+  // Seed 4 adds a stage-length bound (both stage scalars in play); seed 5
+  // uses the approximate slacks.
+  const Pinned kPinned[] = {
+      {1, kDivideConquer, 301442, 184652, 5067, 10480, 7830, 2763},
+      {1, kQuadratic, 740480, 185264, 5067, 22110, 7830, 2763},
+      {2, kDivideConquer, 1214553, 860443, 2528, 8669, 8813, 6285},
+      {2, kQuadratic, 1670072, 864934, 2528, 9001, 8813, 6285},
+      {3, kDivideConquer, 594858, 394442, 2887, 13897, 6974, 4087},
+      {3, kQuadratic, 895399, 388617, 2887, 23939, 6974, 4087},
+      {4, kDivideConquer, 4610, 2847, 56, 54, 603, 547},
+      {4, kQuadratic, 4687, 2829, 56, 53, 603, 547},
+      {5, kDivideConquer, 965335, 698385, 2493, 2280, 9223, 6730},
+      {5, kQuadratic, 1386909, 734642, 2498, 2571, 9260, 6762},
+  };
+  const Technology tech = DefaultTechnology();
+  for (const Pinned& p : kPinned) {
+    SCOPED_TRACE(::testing::Message() << "seed " << p.seed << " mode "
+                                      << static_cast<int>(p.mode));
+    NetConfig config;
+    config.seed = p.seed;
+    config.num_terminals = 10;
+    const RcTree tree = BuildExperimentNet(config, tech);
+    MsriOptions options;
+    if (p.seed == 4) options.max_stage_length_um = 2500.0;
+    if (p.seed == 5) options.mfs = MfsOptions::Approximate();
+    options.mfs.mode = p.mode;
+    const MfsStats s = RunMsri(tree, tech, options).Stats().mfs;
+    EXPECT_EQ(s.comparisons, p.comparisons);
+    EXPECT_EQ(s.predictive_skipped, p.predictive_skipped);
+    EXPECT_EQ(s.pruned, p.pruned);
+    EXPECT_EQ(s.pruned_partial, p.pruned_partial);
+    EXPECT_EQ(s.candidates_in, p.candidates_in);
+    EXPECT_EQ(s.candidates_out, p.candidates_out);
+    EXPECT_LE(s.pruned + s.pruned_partial, s.region_tests);
+    EXPECT_LT(s.region_tests, s.comparisons);
+  }
+}
 
 }  // namespace
 }  // namespace msn

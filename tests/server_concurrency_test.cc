@@ -753,8 +753,10 @@ TEST(ServerConcurrency, LiveStatsSnapshotsStayConsistentMidStorm) {
   for (std::size_t c = 0; c < kClients; ++c) {
     storm.emplace_back([&server, &nets, c] {
       for (int i = 0; i < kPerClient; ++i) {
-        const std::string id =
-            "c" + std::to_string(c) + "-" + std::to_string(i);
+        const std::string id = std::string("c")
+                                   .append(std::to_string(c))
+                                   .append("-")
+                                   .append(std::to_string(i));
         const std::string resp = server.HandleLine(OptimizeLine(
             id, nets[static_cast<std::size_t>(i) % nets.size()]));
         EXPECT_TRUE(JsonValue::Parse(resp).Find("ok")->AsBool()) << resp;

@@ -556,7 +556,7 @@ TEST(Server, ServeMixedTrafficConcurrently) {
   for (int d = 0; d < kDup; ++d) {
     for (int n = 0; n < kNets; ++n) {
       in_os << OptimizeLine(
-                   "n" + std::to_string(n),
+                   std::string("n").append(std::to_string(n)),
                    NetText(ExperimentNet(
                        static_cast<std::uint64_t>(20 + n))))
             << '\n';

@@ -91,6 +91,23 @@ if(DEFINED CHECKER)
     if(NOT rc EQUAL 0)
       message(FATAL_ERROR "check_stats_schema.py failed: ${out} ${err}")
     endif()
+
+    # The checker must reject region-test counts outside
+    # pruned_full + pruned_partial <= region_tests <= comparisons.
+    string(JSON comparisons GET "${doc}" counters "mfs.comparisons")
+    math(EXPR too_many "${comparisons} + 1")
+    foreach(bad 0 ${too_many})
+      string(JSON bad_doc SET "${doc}" counters "mfs.region_tests" "${bad}")
+      file(WRITE ${WORK}/bad_stats.json "${bad_doc}")
+      execute_process(
+        COMMAND ${PYTHON3} ${CHECKER} --optimize ${WORK}/bad_stats.json
+        RESULT_VARIABLE rc
+        OUTPUT_QUIET ERROR_QUIET)
+      if(rc EQUAL 0)
+        message(FATAL_ERROR "check_stats_schema.py accepted"
+                            " mfs.region_tests = ${bad}")
+      endif()
+    endforeach()
   endif()
 endif()
 

@@ -102,14 +102,27 @@ def _check_run(doc, where="run"):
     # registry carries them (optimize runs, batch aggregates, bench
     # trajectories).  Predictive skips are tests the (cost, cap) sort
     # decided without running — each has a mirror test that did run, so
-    # skips can never exceed comparisons; early-join prunes drop a subset
-    # of the visited cross-product pairs.
+    # skips can never exceed comparisons; region tests are the comparisons
+    # that passed the scalar prefilter; a prune (full or partial) needs a
+    # region test; early-join prunes drop a subset of the visited
+    # cross-product pairs.
     counters = doc["counters"]
-    for small, big in (("mfs.predictive_skipped", "mfs.comparisons"),
-                       ("msri.join_pruned_early", "msri.join_candidates")):
-        if small in counters and counters[small] > counters.get(big, 0):
+    pruned = None
+    if "mfs.region_tests" in counters:
+        pruned = (counters.get("mfs.pruned_full", 0)
+                  + counters.get("mfs.pruned_partial", 0))
+    for small, small_value, big in (
+            ("mfs.predictive_skipped", counters.get("mfs.predictive_skipped"),
+             "mfs.comparisons"),
+            ("mfs.region_tests", counters.get("mfs.region_tests"),
+             "mfs.comparisons"),
+            ("mfs.pruned_full + mfs.pruned_partial", pruned,
+             "mfs.region_tests"),
+            ("msri.join_pruned_early", counters.get("msri.join_pruned_early"),
+             "msri.join_candidates")):
+        if small_value is not None and small_value > counters.get(big, 0):
             raise SchemaError(f"{where}: counter {small!r}"
-                              f" ({counters[small]}) exceeds {big!r}"
+                              f" ({small_value}) exceeds {big!r}"
                               f" ({counters.get(big, 0)})")
     for name, h in doc["histograms"].items():
         if not isinstance(h, dict) or set(h) != set(HISTOGRAM_FIELDS):
@@ -137,7 +150,8 @@ def _check_optimize_run(doc, where):
             raise SchemaError(f"{where}: phase timer {name!r} never fired")
     if "mfs.prune_rate" not in doc["values"]:
         raise SchemaError(f"{where}: missing value 'mfs.prune_rate'")
-    for name in ("mfs.candidates_in", "mfs.candidates_out"):
+    for name in ("mfs.candidates_in", "mfs.candidates_out",
+                 "mfs.region_tests"):
         if name not in doc["counters"]:
             raise SchemaError(f"{where}: missing counter {name!r}")
     segments = [name for name in doc["histograms"]
