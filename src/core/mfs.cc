@@ -127,25 +127,50 @@ class Pruner {
   }
 
   /// Cross-prunes [begin, mid) against [mid, end), in both directions.
+  ///
+  /// Every left cost <= every right cost (the recursion splits a
+  /// (cost, cap)-sorted set and never reorders), so a right entry can
+  /// undercut l on cost only inside l's eps band [mid, band_end); there
+  /// both orientations are tested in index order.  Beyond the band only
+  /// the forward test (l, r) can prune, and such a test writes only its
+  /// victim r and reads only l, which nothing changes after its band: the
+  /// tests commute.  They are therefore run in cap order within l's
+  /// parity, stopping at the first victim whose cap rules l out.  The
+  /// pairs never enumerated fail MayDominate's parity or cap conjunct
+  /// without side effects; they are added to the counters in bulk, so
+  /// every count equals that of the all-pairs index-order loop.
   void Cross(std::size_t begin, std::size_t mid, std::size_t end) {
+    by_cap_.clear();
+    for (std::size_t r = mid; r < end; ++r) {
+      if (live_[r]) by_cap_.push_back(r);
+    }
+    std::sort(by_cap_.begin(), by_cap_.end(),
+              [this](std::size_t a, std::size_t b) {
+                if (rows_[a].parity != rows_[b].parity) {
+                  return rows_[a].parity < rows_[b].parity;
+                }
+                return rows_[a].cap > rows_[b].cap;
+              });
+    std::size_t live_right = by_cap_.size();
+    std::size_t band_end = mid;  // non-decreasing in l, as cost[l] is
     for (std::size_t l = begin; l < mid; ++l) {
       if (!live_[l]) continue;
-      for (std::size_t r = mid; r < end; ++r) {
+      const MfsRow& dl = rows_[l];
+      while (band_end < end &&
+             !(rows_[band_end].cost > dl.cost + slack_.cost)) {
+        ++band_end;
+      }
+      std::size_t live_band = 0;
+      for (std::size_t r = mid; r < band_end; ++r) {
         if (!live_[r]) continue;  // already pruned; later slots may be live
         ++stats_.comparisons;
         if (Prunes(l, r)) {
           ++stats_.pruned;
           live_[r] = 0;
+          --live_right;
           continue;
         }
-        // Every left cost <= every right cost (the recursion splits a
-        // (cost, cap)-sorted set and never reorders), so r can undercut l
-        // on cost only inside the eps band; outside it the reverse test is
-        // decided by the sort invariant without running.
-        if (rows_[r].cost > rows_[l].cost + slack_.cost) {
-          ++stats_.predictive_skipped;
-          continue;
-        }
+        ++live_band;
         ++stats_.comparisons;
         if (Prunes(r, l)) {
           ++stats_.pruned;
@@ -153,6 +178,30 @@ class Pruner {
           break;  // l is gone; its row is done
         }
       }
+      if (!live_[l]) continue;
+
+      // Beyond the band: one forward test per live victim, each reverse
+      // test decided by the sort invariant (predictive skip) unless the
+      // forward test pruned the victim.
+      const std::size_t beyond = live_right - live_band;
+      stats_.comparisons += beyond;
+      std::size_t pruned_beyond = 0;
+      auto it = std::partition_point(
+          by_cap_.begin(), by_cap_.end(),
+          [&](std::size_t r) { return rows_[r].parity < dl.parity; });
+      for (; it != by_cap_.end() && rows_[*it].parity == dl.parity &&
+             dl.cap <= rows_[*it].cap + slack_.cap;
+           ++it) {
+        const std::size_t r = *it;
+        if (r < band_end || !live_[r]) continue;
+        if (Prunes(l, r)) {
+          ++stats_.pruned;
+          live_[r] = 0;
+          --live_right;
+          ++pruned_beyond;
+        }
+      }
+      stats_.predictive_skipped += beyond - pruned_beyond;
     }
   }
 
@@ -177,6 +226,7 @@ class Pruner {
   MfsStats& stats_;
   std::vector<MfsRow> rows_;
   std::vector<std::uint8_t> live_;
+  std::vector<std::size_t> by_cap_;  // Cross scratch: by (parity, -cap)
 };
 
 }  // namespace

@@ -64,7 +64,11 @@ struct MfsStats {
   std::size_t calls = 0;           ///< ComputeMfs invocations.
   std::size_t candidates_in = 0;   ///< Solutions entering the pruner.
   std::size_t candidates_out = 0;  ///< Survivors after pruning.
-  std::size_t comparisons = 0;  ///< Pairwise dominance tests performed.
+  /// Pairwise dominance tests of the index-order Fig. 4 schedule.  The
+  /// divide-and-conquer cross step does not enumerate the tests its
+  /// (parity, cap) order proves fail without side effects; it counts them
+  /// in bulk, so this equals the count of enumerating every pair.
+  std::size_t comparisons = 0;
   /// Dominance tests decided by the (cost, cap) sort invariant alone —
   /// the would-be dominator out-costs the victim beyond eps — and
   /// therefore skipped without running.  Always <= comparisons: each

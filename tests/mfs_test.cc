@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -378,17 +380,268 @@ TEST(MfsPrefilter, RejectImpliesNoPruneAndNoSideEffect) {
   EXPECT_GT(accepted, 1000u);
 }
 
+/// The divide-and-conquer schedule of paper Fig. 4 with every pair
+/// enumerated in index order, built on the public single-pair test: an
+/// all-pairs base case with the cost two-pointer, and a cross step that
+/// tests each left dominator against every live right victim, plus the
+/// reverse test inside the dominator's cost band.  ComputeMfs may skip
+/// enumerating pairs the (cost, cap) order rules out, but must prune the
+/// same pairs with the same outcome and count the same tests.
+class ReferenceSchedule {
+ public:
+  ReferenceSchedule(SolutionSet& set, const MfsOptions& options,
+                    MfsStats& stats)
+      : set_(set), options_(options), stats_(stats), live_(set.size(), 1) {}
+
+  void Recurse(std::size_t begin, std::size_t end) {
+    if (end - begin <= options_.base_case) {
+      Pairwise(begin, end);
+      return;
+    }
+    const std::size_t mid = begin + (end - begin) / 2;
+    Recurse(begin, mid);
+    Recurse(mid, end);
+    Cross(begin, mid, end);
+  }
+
+  void Pairwise(std::size_t begin, std::size_t end) {
+    std::size_t lo = begin;
+    std::size_t live_below = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      while (lo < end && Cost(lo) < Cost(i) - options_.CostEps()) {
+        live_below += live_[lo];
+        ++lo;
+      }
+      if (!live_[i]) continue;
+      stats_.predictive_skipped += live_below;
+      for (std::size_t j = lo; j < end; ++j) {
+        if (i == j || !live_[j]) continue;
+        ++stats_.comparisons;
+        if (Prunes(i, j)) Kill(j);
+      }
+    }
+  }
+
+  void Cross(std::size_t begin, std::size_t mid, std::size_t end) {
+    for (std::size_t l = begin; l < mid; ++l) {
+      if (!live_[l]) continue;
+      for (std::size_t r = mid; r < end; ++r) {
+        if (!live_[r]) continue;
+        ++stats_.comparisons;
+        if (Prunes(l, r)) {
+          Kill(r);
+          continue;
+        }
+        if (Cost(r) > Cost(l) + options_.CostEps()) {
+          ++stats_.predictive_skipped;
+          continue;
+        }
+        ++stats_.comparisons;
+        if (Prunes(r, l)) {
+          Kill(l);
+          break;
+        }
+      }
+    }
+  }
+
+  void Compact() {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < set_.size(); ++i) {
+      if (live_[i]) set_[kept++] = std::move(set_[i]);
+    }
+    set_.resize(kept);
+  }
+
+ private:
+  double Cost(std::size_t i) const { return set_[i]->cost; }
+  bool Prunes(std::size_t d, std::size_t v) {
+    return PruneByDominance(*set_[d], *set_[v], options_, &stats_);
+  }
+  void Kill(std::size_t i) {
+    ++stats_.pruned;
+    live_[i] = 0;
+  }
+
+  SolutionSet& set_;
+  const MfsOptions& options_;
+  MfsStats& stats_;
+  std::vector<std::uint8_t> live_;
+};
+
+void SortByCostCap(SolutionSet& set) {
+  std::sort(set.begin(), set.end(),
+            [](const SolutionPtr& a, const SolutionPtr& b) {
+              if (a->cost != b->cost) return a->cost < b->cost;
+              return a->cap < b->cap;
+            });
+}
+
+SolutionSet ReferenceMfs(SolutionSet set, const MfsOptions& options,
+                         MfsStats& stats) {
+  stats.calls = 1;
+  stats.candidates_in = set.size();
+  std::erase_if(set, [](const SolutionPtr& s) { return s->valid.Empty(); });
+  SortByCostCap(set);
+  if (set.size() >= 2) {
+    ReferenceSchedule schedule(set, options, stats);
+    schedule.Recurse(0, set.size());
+    schedule.Compact();
+    SortByCostCap(set);
+  }
+  stats.candidates_out = set.size();
+  return set;
+}
+
+/// A random candidate set shaped to stress the cross step: costs on a
+/// coarse grid (ties) plus offsets of half, exactly and just beyond the
+/// cost slack (multi-entry cost bands and their edges), caps from a few
+/// values with the same offsets around the cap slack, both parities, and
+/// a few PWL shapes so that partial prunes are common.
+SolutionSet RandomScheduleSet(Rng& rng, const MfsOptions& options,
+                              std::size_t n) {
+  auto pick = [&rng](std::initializer_list<double> values) {
+    const auto k = rng.UniformInt(0, static_cast<int>(values.size()) - 1);
+    return *(values.begin() + k);
+  };
+  auto near = [&](double base, double eps) {
+    switch (rng.UniformInt(0, 4)) {
+      case 0:
+        return base + eps / 2.0;
+      case 1:
+        return base + eps;
+      case 2:
+        return std::nextafter(base + eps, kInf);
+      default:
+        return base;
+    }
+  };
+  // A few cap values per set, so caps tie; the last is one where
+  // (cap + eps) - eps rounds above cap, found just below a binade edge.
+  // There the dominance test's "d.cap <= v.cap + eps" and the rearranged
+  // "d.cap - eps <= v.cap" disagree for d.cap = v.cap + eps.
+  constexpr int kCapBases = 4;
+  const double cap_eps = options.CapEps();
+  double cap_bases[kCapBases];
+  for (int k = 0; k + 1 < kCapBases; ++k) {
+    cap_bases[k] = rng.UniformReal(0.05, 0.45);
+  }
+  double& fragile = cap_bases[kCapBases - 1];
+  do {
+    fragile = 0.125 - rng.UniformReal(0.0, 2.0 * cap_eps);
+  } while (!((fragile + cap_eps) - cap_eps > fragile));
+
+  SolutionSet set;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double cost =
+        near(0.5 * static_cast<double>(rng.UniformInt(0, 15)),
+             options.CostEps());
+    const double cap = near(cap_bases[static_cast<std::size_t>(
+                                rng.UniformInt(0, kCapBases - 1))],
+                            options.CapEps());
+    Pwl arr = Pwl::Line(pick({0.0, 10.0, 20.0, 40.0}), pick({0.0, 5.0, 20.0}));
+    if (rng.Chance(0.3)) {
+      arr = Pwl::Max(arr, Pwl::Line(pick({15.0, 30.0}), pick({2.0, 10.0})));
+    }
+    SolutionPtr s = Make(
+        cost, cap,
+        near(10.0 * static_cast<double>(rng.UniformInt(0, 3)),
+             options.DelayEps()),
+        std::move(arr),
+        rng.Chance(0.5) ? Pwl::NegInf()
+                        : Pwl::Line(pick({0.0, 25.0}), pick({1.0, 8.0})));
+    s->stage_span_um = pick({0.0, 0.0, 100.0, 200.0});
+    s->stage_diam_um = pick({0.0, 0.0, 300.0});
+    s->parity = static_cast<int>(rng.UniformInt(0, 1));
+    s->valid = IntervalSet(pick({0.0, 0.0, 0.5, 1.0}), pick({2.0, 5.0, kInf}));
+    set.push_back(std::move(s));
+  }
+  return set;
+}
+
+SolutionSet DeepCopy(const SolutionSet& set) {
+  SolutionSet copy;
+  for (const SolutionPtr& s : set) {
+    copy.push_back(std::make_shared<MsriSolution>(*s));
+  }
+  return copy;
+}
+
+/// Input positions of `survivors`, in their output order.
+std::vector<std::size_t> Positions(const SolutionSet& input,
+                                   const SolutionSet& survivors) {
+  std::vector<std::size_t> out;
+  for (const SolutionPtr& s : survivors) {
+    out.push_back(static_cast<std::size_t>(
+        std::find(input.begin(), input.end(), s) - input.begin()));
+  }
+  return out;
+}
+
+void ExpectSameStats(const MfsStats& a, const MfsStats& b) {
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.candidates_in, b.candidates_in);
+  EXPECT_EQ(a.candidates_out, b.candidates_out);
+  EXPECT_EQ(a.comparisons, b.comparisons);
+  EXPECT_EQ(a.predictive_skipped, b.predictive_skipped);
+  EXPECT_EQ(a.region_tests, b.region_tests);
+  EXPECT_EQ(a.pruned, b.pruned);
+  EXPECT_EQ(a.pruned_partial, b.pruned_partial);
+}
+
+/// Divide-and-conquer ComputeMfs follows the index-order Fig. 4 schedule
+/// exactly: same survivors in the same order, same valid regions, and
+/// every counter equal, under the exact and the approximate slacks and
+/// at two recursion depths.
+TEST(MfsSchedule, DivideConquerMatchesIndexOrderReference) {
+  MfsOptions exact;
+  MfsOptions approximate = MfsOptions::Approximate();
+  MfsOptions deep;
+  deep.base_case = 2;
+  Rng rng(20261017);
+  MfsStats total;
+  for (const MfsOptions& options : {exact, approximate, deep}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << " cost_eps "
+                                        << options.CostEps() << " base_case "
+                                        << options.base_case);
+      const auto n = static_cast<std::size_t>(rng.UniformInt(2, 160));
+      const SolutionSet input = RandomScheduleSet(rng, options, n);
+      const SolutionSet copy = DeepCopy(input);
+
+      MfsStats got;
+      const SolutionSet out = ComputeMfs(input, options, &got);
+      MfsStats want;
+      const SolutionSet ref = ReferenceMfs(copy, options, want);
+
+      ExpectSameStats(got, want);
+      ASSERT_EQ(Positions(input, out), Positions(copy, ref));
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i]->valid, ref[i]->valid) << "survivor " << i;
+      }
+      total += got;
+    }
+  }
+  // Every kind of decision must be well represented.
+  EXPECT_GT(total.pruned, 1000u);
+  EXPECT_GT(total.pruned_partial, 1000u);
+  EXPECT_GT(total.predictive_skipped, 10000u);
+  EXPECT_GT(total.region_tests, 10000u);
+}
+
 /// Counter regression: MFS on fixed 10-pin nets must perform exactly the
-/// dominance tests, predictive skips and prunes recorded before the
-/// columnar prefilter kernel replaced the pointer-chasing loop.  Any
-/// change here means the pruning visits pairs in a different order or
-/// decides them differently.
+/// dominance tests, predictive skips, region tests and prunes of the
+/// index-order Fig. 4 schedule (recorded from the pointer-chasing loop,
+/// region tests from the first columnar kernel).  Identical region tests
+/// mean the same pairs reach the PWL test; any change here means the
+/// pruning visits pairs in a different order or decides them differently.
 TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
   struct Pinned {
     std::uint64_t seed;
     MfsOptions::Mode mode;
     std::size_t comparisons;
     std::size_t predictive_skipped;
+    std::size_t region_tests;
     std::size_t pruned;
     std::size_t pruned_partial;
     std::size_t candidates_in;
@@ -398,16 +651,16 @@ TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
   // Seed 4 adds a stage-length bound (both stage scalars in play); seed 5
   // uses the approximate slacks.
   const Pinned kPinned[] = {
-      {1, kDivideConquer, 301442, 184652, 5067, 10480, 7830, 2763},
-      {1, kQuadratic, 740480, 185264, 5067, 22110, 7830, 2763},
-      {2, kDivideConquer, 1214553, 860443, 2528, 8669, 8813, 6285},
-      {2, kQuadratic, 1670072, 864934, 2528, 9001, 8813, 6285},
-      {3, kDivideConquer, 594858, 394442, 2887, 13897, 6974, 4087},
-      {3, kQuadratic, 895399, 388617, 2887, 23939, 6974, 4087},
-      {4, kDivideConquer, 4610, 2847, 56, 54, 603, 547},
-      {4, kQuadratic, 4687, 2829, 56, 53, 603, 547},
-      {5, kDivideConquer, 965335, 698385, 2493, 2280, 9223, 6730},
-      {5, kQuadratic, 1386909, 734642, 2498, 2571, 9260, 6762},
+      {1, kDivideConquer, 301442, 184652, 24072, 5067, 10480, 7830, 2763},
+      {1, kQuadratic, 740480, 185264, 47937, 5067, 22110, 7830, 2763},
+      {2, kDivideConquer, 1214553, 860443, 34038, 2528, 8669, 8813, 6285},
+      {2, kQuadratic, 1670072, 864934, 36953, 2528, 9001, 8813, 6285},
+      {3, kDivideConquer, 594858, 394442, 37475, 2887, 13897, 6974, 4087},
+      {3, kQuadratic, 895399, 388617, 54825, 2887, 23939, 6974, 4087},
+      {4, kDivideConquer, 4610, 2847, 538, 56, 54, 603, 547},
+      {4, kQuadratic, 4687, 2829, 534, 56, 53, 603, 547},
+      {5, kDivideConquer, 965335, 698385, 26490, 2493, 2280, 9223, 6730},
+      {5, kQuadratic, 1386909, 734642, 33795, 2498, 2571, 9260, 6762},
   };
   const Technology tech = DefaultTechnology();
   for (const Pinned& p : kPinned) {
@@ -424,6 +677,7 @@ TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
     const MfsStats s = RunMsri(tree, tech, options).Stats().mfs;
     EXPECT_EQ(s.comparisons, p.comparisons);
     EXPECT_EQ(s.predictive_skipped, p.predictive_skipped);
+    EXPECT_EQ(s.region_tests, p.region_tests);
     EXPECT_EQ(s.pruned, p.pruned);
     EXPECT_EQ(s.pruned_partial, p.pruned_partial);
     EXPECT_EQ(s.candidates_in, p.candidates_in);

@@ -344,13 +344,16 @@ TEST(ServerCancellation, PartialStatsMergeExactlyOnceAcrossCancelAndRerun) {
   ServerOptions options;
   options.jobs = 1;
   Server server(tech, options);
-  // Big enough that a 250ms deadline reliably fires mid-run, small
-  // enough that the uncancelled rerun completes in test time.  The
+  // The DP on this net takes ~200 ms in an optimized build (more under
+  // Debug or sanitizers), so a 20 ms deadline fires mid-run with a wide
+  // margin either way: the request's parse takes well under a
+  // millisecond, and the DP would have to get ten times faster to finish
+  // first.  The uncancelled rerun still completes in test time.  The
   // stats op between the two is a drain barrier: it forces "cut" to
   // resolve (cancelled, as the sole DP owner) before "full" is even
   // read, so "full" re-runs the DP instead of coalescing with it.
   const std::string net = NetText(ExperimentNet(98, 26));
-  std::istringstream in(OptimizeLine("cut", net, 250.0) + "\n" +
+  std::istringstream in(OptimizeLine("cut", net, 20.0) + "\n" +
                         "{\"op\":\"stats\"}\n" +
                         OptimizeLine("full", net) + "\n" +
                         "{\"op\":\"shutdown\"}\n");
@@ -364,10 +367,12 @@ TEST(ServerCancellation, PartialStatsMergeExactlyOnceAcrossCancelAndRerun) {
     const JsonValue v = JsonValue::Parse(line);
     if (line.find("\"id\":\"cut\"") != std::string::npos) {
       saw_cut = true;
+      ASSERT_NE(v.Find("cancelled"), nullptr) << line;
       EXPECT_TRUE(v.Find("cancelled")->AsBool()) << line;
     }
     if (line.find("\"id\":\"full\"") != std::string::npos) {
       saw_full = true;
+      ASSERT_NE(v.Find("ok"), nullptr) << line;
       EXPECT_TRUE(v.Find("ok")->AsBool()) << line;
     }
   }
