@@ -259,8 +259,7 @@ bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
 }
 
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats, obs::StatsSink* sink) {
-  const obs::ScopedTimer timer(sink != nullptr ? sink->mfs_time : nullptr);
+                       MfsStats* stats) {
   MfsStats call;
   call.calls = 1;
   call.candidates_in = set.size();
@@ -284,16 +283,6 @@ SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
   call.candidates_out = set.size();
 
   if (stats) *stats += call;
-  if (sink != nullptr) {
-    sink->mfs_calls->Add(1);
-    sink->mfs_candidates_in->Add(call.candidates_in);
-    sink->mfs_candidates_out->Add(call.candidates_out);
-    sink->mfs_comparisons->Add(call.comparisons);
-    sink->mfs_predictive_skipped->Add(call.predictive_skipped);
-    sink->mfs_region_tests->Add(call.region_tests);
-    sink->mfs_pruned_full->Add(call.pruned);
-    sink->mfs_pruned_partial->Add(call.pruned_partial);
-  }
   return set;
 }
 

@@ -20,7 +20,6 @@
 #include <cstddef>
 
 #include "core/solution.h"
-#include "obs/stats.h"
 
 namespace msn {
 
@@ -93,11 +92,9 @@ struct MfsStats {
 /// Prunes `set` to (a superset of) its minimal functional subset.
 /// Solutions whose valid region empties are removed; others may come back
 /// with a reduced `valid`.  Order of survivors: sorted by (cost, cap).
-/// A non-null `sink` additionally records wall time and the candidate
-/// in/out flow into the shared observability registry.
+/// The call's counts are added into `stats` when given.
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats = nullptr,
-                       obs::StatsSink* sink = nullptr);
+                       MfsStats* stats = nullptr);
 
 /// The scalar coordinates of a solution that the dominance test compares
 /// before it touches any PWL: parity, cost, cap, the two stage lengths and

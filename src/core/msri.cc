@@ -1,6 +1,8 @@
 #include "core/msri.h"
 
 #include <algorithm>
+#include <exception>
+#include <optional>
 
 #include "common/check.h"
 #include "common/numeric.h"
@@ -21,8 +23,8 @@ struct Context {
   /// Observability sink; null disables all recording (see MsriOptions).
   obs::StatsSink* sink;
   /// Request-scoped trace; null disables span recording (see
-  /// MsriOptions::trace).  Thread-confined like the sink: worker
-  /// sub-contexts carry null.
+  /// MsriOptions::trace).  Thread-confined with no merge, so worker
+  /// contexts carry null.
   obs::Trace* trace = nullptr;
   /// Intra-net fan-out executor; null keeps the traversal serial (see
   /// MsriOptions::executor).  Worker sub-contexts carry the executor on
@@ -53,34 +55,43 @@ struct Context {
     }
   }
 
-  /// The phase's timer when instrumentation is on, else null (ScopedTimer
-  /// then skips the clock entirely).
-  obs::Timer* PhaseTimer(obs::Timer* obs::StatsSink::* member) const {
-    return sink != nullptr ? sink->*member : nullptr;
+  /// Opens a DP phase: the sink's `timer` and the span `name`.
+  obs::ScopedPhase Phase(obs::Timer* obs::StatsSink::* timer,
+                         const char* name) const {
+    return obs::ScopedPhase(sink != nullptr ? sink->*timer : nullptr, trace,
+                            name);
+  }
+
+  /// MFS pruning (Def. 4.3) as a phase of its own: the `mfs.time` timer,
+  /// an `mfs` span, and the call's counts into this context's MsriStats.
+  SolutionSet Mfs(SolutionSet set) {
+    const auto phase = Phase(&obs::StatsSink::mfs_time, "mfs");
+    return ComputeMfs(std::move(set), options.mfs, &stats->mfs);
   }
 };
 
-/// Fig. 6: one solution per driver option of the terminal at leaf `v`.
-SolutionSet LeafSolutions(Context& ctx, NodeId v) {
-  const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_leaf));
-  const obs::ScopedSpan span(ctx.trace, "msri.leaf");
-  const std::size_t t = ctx.tree.Node(v).terminal_index;
-  const TerminalParams& params = ctx.tree.Terminal(t);
-
-  // Candidate realizations: either the whole sizing library or just the
-  // terminal's default driver (detail = kNoDetail marks the default).
+/// A terminal's driver realizations (Figs. 6, 9): the sizing library, or
+/// just its own driver (detail = kNoDetail marks the default).
+std::vector<std::pair<std::size_t, const TerminalOption*>> DriverChoices(
+    const MsriOptions& options, const TerminalParams& params) {
   std::vector<std::pair<std::size_t, const TerminalOption*>> choices;
-  if (ctx.options.size_drivers) {
-    for (std::size_t i = 0; i < ctx.options.sizing_library.size(); ++i) {
-      choices.emplace_back(i, &ctx.options.sizing_library[i]);
+  if (options.size_drivers) {
+    for (std::size_t i = 0; i < options.sizing_library.size(); ++i) {
+      choices.emplace_back(i, &options.sizing_library[i]);
     }
   } else {
     choices.emplace_back(MsriSolution::kNoDetail, &params.driver);
   }
+  return choices;
+}
 
+/// Fig. 6: one solution per driver option of the terminal at leaf `v`.
+SolutionSet LeafSolutions(Context& ctx, NodeId v) {
+  const auto phase = ctx.Phase(&obs::StatsSink::msri_leaf, "msri.leaf");
+  const TerminalParams& params =
+      ctx.tree.Terminal(ctx.tree.Node(v).terminal_index);
   SolutionSet set;
-  set.reserve(choices.size());
-  for (const auto& [detail, opt] : choices) {
+  for (const auto& [detail, opt] : DriverChoices(ctx.options, params)) {
     const EffectiveTerminal eff = ResolveTerminal(params, *opt);
     auto s = std::make_shared<MsriSolution>();
     s->cost = opt->cost;
@@ -108,9 +119,7 @@ SolutionSet LeafSolutions(Context& ctx, NodeId v) {
 /// (resistance /w, capacitance ·w, extra area cost — the paper's
 /// conclusions' extension after [15],[20]).
 SolutionSet Augment(Context& ctx, NodeId v, const SolutionSet& below) {
-  const obs::ScopedTimer timer(
-      ctx.PhaseTimer(&obs::StatsSink::msri_augment));
-  const obs::ScopedSpan span(ctx.trace, "msri.augment");
+  const auto phase = ctx.Phase(&obs::StatsSink::msri_augment, "msri.augment");
   const double base_re = ctx.rooted.ParentRes(v);
   const double base_ce = ctx.rooted.ParentCap(v);
   const double len = ctx.rooted.ParentLengthUm(v);
@@ -173,8 +182,7 @@ SolutionSet Augment(Context& ctx, NodeId v, const SolutionSet& below) {
 /// monotone) and keeps peak memory proportional to the survivors.
 SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
                      const SolutionSet& s2set) {
-  const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_join));
-  const obs::ScopedSpan span(ctx.trace, "msri.join");
+  const auto phase = ctx.Phase(&obs::StatsSink::msri_join, "msri.join");
   std::size_t prune_at =
       std::max<std::size_t>(4096, 4 * (s1set.size() + s2set.size()));
   SolutionSet out;
@@ -263,8 +271,7 @@ SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
       j->pred2 = s2;
       out.push_back(std::move(j));
       if (out.size() >= prune_at) {
-        out = ComputeMfs(std::move(out), ctx.options.mfs, &ctx.stats->mfs,
-                         ctx.sink);
+        out = ctx.Mfs(std::move(out));
         // Double the threshold relative to the survivors so a poorly
         // pruning set cannot trigger quadratic re-pruning.
         prune_at = std::max(prune_at, 2 * out.size());
@@ -279,9 +286,7 @@ SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
 /// solutions remain candidates (insertion is optional).
 SolutionSet RepeaterSolutions(Context& ctx, NodeId v, SolutionSet set) {
   if (!ctx.options.insert_repeaters) return set;
-  const obs::ScopedTimer timer(
-      ctx.PhaseTimer(&obs::StatsSink::msri_repeater));
-  const obs::ScopedSpan span(ctx.trace, "msri.repeater");
+  const auto phase = ctx.Phase(&obs::StatsSink::msri_repeater, "msri.repeater");
   SolutionSet buffered;
   for (const SolutionPtr& s : set) {
     ctx.options.cancel.Check();
@@ -334,21 +339,7 @@ SolutionSet Solve(Context& ctx, NodeId v);
 /// essential once wire sizing multiplies each set by the number of width
 /// choices.
 SolutionSet ChildSolutions(Context& ctx, NodeId c) {
-  return ComputeMfs(Augment(ctx, c, Solve(ctx, c)), ctx.options.mfs,
-                    &ctx.stats->mfs, ctx.sink);
-}
-
-/// Accumulates a worker task's thread-local stats into the run's.  Every
-/// field is a sum or max, so the merge is order-insensitive and the
-/// totals are identical to a serial run's.
-void MergeStats(MsriStats& into, const MsriStats& from) {
-  into.solutions_generated += from.solutions_generated;
-  into.join_candidates += from.join_candidates;
-  into.join_pruned_early += from.join_pruned_early;
-  into.max_set_size = std::max(into.max_set_size, from.max_set_size);
-  into.max_pwl_segments =
-      std::max(into.max_pwl_segments, from.max_pwl_segments);
-  into.mfs += from.mfs;
+  return ctx.Mfs(Augment(ctx, c, Solve(ctx, c)));
 }
 
 /// The fan-out is worth its overhead only when at least two siblings
@@ -367,30 +358,40 @@ SolutionSet CombineChildren(Context& ctx, NodeId v) {
   const std::vector<NodeId>& children = ctx.rooted.Children(v);
   if (ShouldParallelize(ctx, children)) {
     // Independent sibling subtrees (the JoinSets inputs of Fig. 7) as
-    // separate tasks.  Results land in index-addressed slots and worker
-    // stats in task-local structs, so output is deterministic at any
-    // thread count; obs sinks are thread-confined and therefore off on
-    // workers (MsriOptions::executor documents the reduced detail).
+    // separate tasks, results in index-addressed slots.  Each task keeps
+    // its own MsriStats and registry, merged into the run's after the
+    // barrier (also on throw): sums and maxes, so exact at any count.
     std::vector<SolutionSet> sets(children.size());
-    std::vector<MsriStats> local(children.size());
+    std::vector<MsriStats> stats(children.size());
+    std::vector<obs::RunStats> registries(
+        ctx.sink != nullptr ? children.size() : 0);
     std::vector<std::function<void()>> tasks;
     tasks.reserve(children.size());
     for (std::size_t i = 0; i < children.size(); ++i) {
-      tasks.push_back([&ctx, &sets, &local, &children, i] {
-        Context sub{ctx.tree,    ctx.rooted,   ctx.tech,
-                    ctx.options, &local[i],    /*sink=*/nullptr,
-                    /*trace=*/nullptr, ctx.executor, ctx.subtree_nodes,
-                    ctx.x_max};
+      tasks.push_back([&ctx, &sets, &stats, &registries, &children, i] {
+        std::optional<obs::StatsSink> sink;
+        if (!registries.empty()) sink.emplace(&registries[i]);
+        Context sub = ctx;
+        sub.stats = &stats[i];
+        sub.sink = sink ? &*sink : nullptr;
+        sub.trace = nullptr;
+        const obs::PwlStatsScope pwl_scope(sub.sink);
         sets[i] = ChildSolutions(sub, children[i]);
       });
     }
-    ctx.executor->RunAll(std::move(tasks));
-    for (const MsriStats& s : local) MergeStats(*ctx.stats, s);
+    std::exception_ptr failed;
+    try {
+      ctx.executor->RunAll(std::move(tasks));
+    } catch (...) {
+      failed = std::current_exception();
+    }
+    for (const MsriStats& s : stats) *ctx.stats += s;
+    for (const obs::RunStats& r : registries) ctx.sink->Registry().MergeFrom(r);
+    if (failed) std::rethrow_exception(failed);
     // The sequential fold, identical to the serial path below.
     SolutionSet acc = std::move(sets[0]);
     for (std::size_t i = 1; i < sets.size(); ++i) {
-      acc = ComputeMfs(JoinSets(ctx, v, acc, sets[i]), ctx.options.mfs,
-                       &ctx.stats->mfs, ctx.sink);
+      acc = ctx.Mfs(JoinSets(ctx, v, acc, sets[i]));
     }
     return acc;
   }
@@ -403,8 +404,7 @@ SolutionSet CombineChildren(Context& ctx, NodeId v) {
       acc = std::move(augmented);
       first = false;
     } else {
-      acc = ComputeMfs(JoinSets(ctx, v, acc, augmented), ctx.options.mfs,
-                       &ctx.stats->mfs, ctx.sink);
+      acc = ctx.Mfs(JoinSets(ctx, v, acc, augmented));
     }
   }
   return acc;
@@ -424,8 +424,7 @@ SolutionSet Solve(Context& ctx, NodeId v) {
       set = RepeaterSolutions(ctx, v, std::move(set));
     }
   }
-  set = ComputeMfs(std::move(set), ctx.options.mfs, &ctx.stats->mfs,
-                   ctx.sink);
+  set = ctx.Mfs(std::move(set));
   ctx.Record(set);
   if (ctx.options.set_observer) ctx.options.set_observer(v, set);
   return set;
@@ -442,24 +441,14 @@ struct RootCandidate {
 /// Fig. 9: close the recursion at the root terminal.
 std::vector<RootCandidate> RootSolutions(Context& ctx, NodeId root,
                                          const SolutionSet& below) {
-  const obs::ScopedTimer timer(ctx.PhaseTimer(&obs::StatsSink::msri_root));
-  const obs::ScopedSpan span(ctx.trace, "msri.root");
+  const auto phase = ctx.Phase(&obs::StatsSink::msri_root, "msri.root");
   const RcNode& node = ctx.tree.Node(root);
   MSN_CHECK_MSG(node.kind == NodeKind::kTerminal,
                 "MSRI must be rooted at a terminal (paper Section IV)");
   const TerminalParams& params = ctx.tree.Terminal(node.terminal_index);
 
-  std::vector<std::pair<std::size_t, const TerminalOption*>> choices;
-  if (ctx.options.size_drivers) {
-    for (std::size_t i = 0; i < ctx.options.sizing_library.size(); ++i) {
-      choices.emplace_back(i, &ctx.options.sizing_library[i]);
-    }
-  } else {
-    choices.emplace_back(MsriSolution::kNoDetail, &params.driver);
-  }
-
   std::vector<RootCandidate> out;
-  for (const auto& [detail, opt] : choices) {
+  for (const auto& [detail, opt] : DriverChoices(ctx.options, params)) {
     const EffectiveTerminal eff = ResolveTerminal(params, *opt);
     for (const SolutionPtr& s : below) {
       // Terminals below must deliver/receive true polarity at the root.
@@ -541,9 +530,28 @@ TradeoffPoint Materialize(Context& ctx, const RootCandidate& cand) {
   return p;
 }
 
-}  // namespace
+/// The only way the DP's counters (all in MsriStats) reach a registry,
+/// under their published names (docs/OBSERVABILITY.md).
+void AddCounters(const MsriStats& stats, obs::RunStats& reg) {
+  reg.GetCounter("msri.solutions_generated").Add(stats.solutions_generated);
+  reg.GetCounter("msri.join_candidates").Add(stats.join_candidates);
+  reg.GetCounter("msri.join_pruned_early").Add(stats.join_pruned_early);
+  const MfsStats& mfs = stats.mfs;
+  reg.GetCounter("mfs.calls").Add(mfs.calls);
+  reg.GetCounter("mfs.candidates_in").Add(mfs.candidates_in);
+  reg.GetCounter("mfs.candidates_out").Add(mfs.candidates_out);
+  reg.GetCounter("mfs.comparisons").Add(mfs.comparisons);
+  reg.GetCounter("mfs.predictive_skipped").Add(mfs.predictive_skipped);
+  reg.GetCounter("mfs.region_tests").Add(mfs.region_tests);
+  reg.GetCounter("mfs.pruned_full").Add(mfs.pruned);
+  reg.GetCounter("mfs.pruned_partial").Add(mfs.pruned_partial);
+}
 
-const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
+/// MinCostFeasible of MsriResult and MsriSummary alike, so a cached
+/// summary answers spec queries exactly like the result it condensed.
+template <typename Point>
+const Point* FirstFeasible(const std::vector<Point>& pareto,
+                           double spec_ps) {
   // A NaN spec is "no spec" — reject it explicitly instead of relying on
   // NaN comparisons all being false (which happens to give the same
   // answer today but is fragile under refactoring; the batch report
@@ -553,10 +561,26 @@ const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
   // spuriously hold.  Negative finite specs fall out naturally: ARD is
   // non-negative, so no point is feasible.
   if (std::isnan(spec_ps) || spec_ps == -kInf) return nullptr;
-  for (const TradeoffPoint& p : pareto_) {
+  for (const Point& p : pareto) {
     if (LessOrApprox(p.ard_ps, spec_ps)) return &p;
   }
   return nullptr;
+}
+
+}  // namespace
+
+MsriStats& MsriStats::operator+=(const MsriStats& other) {
+  solutions_generated += other.solutions_generated;
+  join_candidates += other.join_candidates;
+  join_pruned_early += other.join_pruned_early;
+  max_set_size = std::max(max_set_size, other.max_set_size);
+  max_pwl_segments = std::max(max_pwl_segments, other.max_pwl_segments);
+  mfs += other.mfs;
+  return *this;
+}
+
+const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
+  return FirstFeasible(pareto_, spec_ps);
 }
 
 const TradeoffPoint* MsriResult::MinArd() const {
@@ -568,14 +592,7 @@ const TradeoffPoint* MsriResult::MinCost() const {
 }
 
 const TradeoffSummary* MsriSummary::MinCostFeasible(double spec_ps) const {
-  // Mirrors MsriResult::MinCostFeasible — the explicit NaN/-inf handling
-  // included — so a cached summary answers spec queries identically to
-  // the result it condensed.
-  if (std::isnan(spec_ps) || spec_ps == -kInf) return nullptr;
-  for (const TradeoffSummary& p : pareto) {
-    if (LessOrApprox(p.ard_ps, spec_ps)) return &p;
-  }
-  return nullptr;
+  return FirstFeasible(pareto, spec_ps);
 }
 
 const TradeoffSummary* MsriSummary::MinArd() const {
@@ -678,13 +695,11 @@ MsriResult RunMsri(const RcTree& tree, const Technology& tech,
               executor, executor != nullptr ? &subtree_nodes : nullptr,
               x_max};
 
-  {
+  try {
     // While the DP runs, the PWL primitives report breakpoint counts to
     // this run's sink (no-op scope when instrumentation is off).
     const obs::PwlStatsScope pwl_scope(ctx.sink);
-    const obs::ScopedTimer total(
-        ctx.PhaseTimer(&obs::StatsSink::msri_total));
-    const obs::ScopedSpan total_span(ctx.trace, "msri.total");
+    const auto total = ctx.Phase(&obs::StatsSink::msri_total, "msri.total");
     const SolutionSet below = CombineChildren(ctx, root);
     const std::vector<RootCandidate> pareto = ParetoByCostDelay(
         RootSolutions(ctx, root, below),
@@ -694,12 +709,15 @@ MsriResult RunMsri(const RcTree& tree, const Technology& tech,
     for (const RootCandidate& c : pareto) {
       result.pareto_.push_back(Materialize(ctx, c));
     }
+  } catch (...) {
+    // A cancelled run's counters count work done, like the phase timers
+    // recorded on unwind; the values below are results, so they are not.
+    if (ctx.sink != nullptr) AddCounters(result.stats_, ctx.sink->Registry());
+    throw;
   }
   if (ctx.sink != nullptr) {
-    ctx.sink->msri_solutions->Add(result.stats_.solutions_generated);
-    ctx.sink->msri_join_candidates->Add(result.stats_.join_candidates);
-    ctx.sink->msri_join_pruned_early->Add(result.stats_.join_pruned_early);
     obs::RunStats& reg = ctx.sink->Registry();
+    AddCounters(result.stats_, reg);
     reg.SetValue("msri.pareto_points",
                  static_cast<double>(result.pareto_.size()));
     reg.SetValue("msri.max_set_size",

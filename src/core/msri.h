@@ -82,15 +82,15 @@ struct MsriOptions {
   MfsOptions mfs;
   /// Observability sink (see src/obs/stats.h and docs/OBSERVABILITY.md):
   /// when non-null, the DP records per-phase wall time and invocation
-  /// counts (Figs. 6-10), MFS candidate flow and prune events, per-node
-  /// set sizes, and PWL breakpoint growth into the sink's registry.
-  /// Null (the default) disables instrumentation at zero cost.
+  /// counts (Figs. 6-10, MFS), per-node set sizes and PWL breakpoint
+  /// growth into the sink's registry, plus the MsriStats counters once
+  /// when RunMsri returns or unwinds.  Null disables it at zero cost.
   obs::StatsSink* stats = nullptr;
   /// Request-scoped tracing (src/obs/trace.h): when non-null, the DP
-  /// opens one span per phase invocation next to the phase timers, so a
+  /// opens one span per phase invocation with the phase timer, so a
   /// per-request trace attributes DP time to LeafSolutions / Augment /
-  /// JoinSets / RepeaterSolutions / RootSolutions.  Thread-confined like
-  /// `stats`: parallel worker tasks trace nothing.  Null (the default)
+  /// JoinSets / RepeaterSolutions / RootSolutions / MFS.  A trace has no
+  /// merge, so parallel worker tasks trace nothing.  Null (the default)
   /// costs one pointer compare per phase.  Non-semantic: excluded from
   /// service::Canonicalize like `cancel`.
   obs::Trace* trace = nullptr;
@@ -99,13 +99,12 @@ struct MsriOptions {
   /// tasks before the sequential JoinSets fold — the fan-out the paper's
   /// Section IV structure makes embarrassingly parallel.  Deterministic:
   /// per-child sets are computed exactly as in a serial run and folded in
-  /// child order, and worker tasks accumulate into task-local MsriStats
-  /// merged after the barrier, so results and DP counters are identical
-  /// at any thread count.  `stats` detail recorded on worker threads
-  /// (phase timers, PWL histograms) is skipped — obs instruments are
-  /// thread-confined by design.  Ignored when `set_observer` is set (the
-  /// callback is not required to be thread-safe).  Null (the default)
-  /// keeps the DP fully serial.
+  /// child order.  Each task keeps its own MsriStats and registry, merged
+  /// into the run's after the barrier, so results, counters, timer calls
+  /// and histogram counts equal a serial run's at any thread count (phase
+  /// times are summed across threads).  Ignored when `set_observer` is
+  /// set (the callback is not required to be thread-safe).  Null (the
+  /// default) keeps the DP fully serial.
   Executor* executor = nullptr;
   /// Fan-out guard: a branch parallelizes only when at least two of its
   /// child subtrees span this many nodes, so small nets stay serial and
@@ -150,6 +149,9 @@ struct MsriStats {
   std::size_t max_set_size = 0;       ///< Largest per-node set after MFS.
   std::size_t max_pwl_segments = 0;   ///< Largest PWL encountered.
   MfsStats mfs;
+
+  /// Sums the counts, takes the maxima (order-insensitive).
+  MsriStats& operator+=(const MsriStats& other);
 };
 
 /// One Pareto point condensed to its scalar coordinates — the part of a

@@ -205,20 +205,8 @@ StatsSink::StatsSink(RunStats* registry) : registry_(registry) {
   msri_repeater = &registry->GetTimer("msri.repeater");
   msri_root = &registry->GetTimer("msri.root");
   msri_total = &registry->GetTimer("msri.total");
-  msri_solutions = &registry->GetCounter("msri.solutions_generated");
-  msri_join_candidates = &registry->GetCounter("msri.join_candidates");
-  msri_join_pruned_early = &registry->GetCounter("msri.join_pruned_early");
   msri_set_size = &registry->GetHistogram("msri.set_size");
-
   mfs_time = &registry->GetTimer("mfs.time");
-  mfs_calls = &registry->GetCounter("mfs.calls");
-  mfs_candidates_in = &registry->GetCounter("mfs.candidates_in");
-  mfs_candidates_out = &registry->GetCounter("mfs.candidates_out");
-  mfs_comparisons = &registry->GetCounter("mfs.comparisons");
-  mfs_predictive_skipped = &registry->GetCounter("mfs.predictive_skipped");
-  mfs_region_tests = &registry->GetCounter("mfs.region_tests");
-  mfs_pruned_full = &registry->GetCounter("mfs.pruned_full");
-  mfs_pruned_partial = &registry->GetCounter("mfs.pruned_partial");
 
   ard_total = &registry->GetTimer("ard.total");
   ard_rooting = &registry->GetTimer("ard.rooting");

@@ -16,10 +16,11 @@
 //      trajectories stay comparable across PRs.
 //
 // Everything here is single-threaded by design; nothing is atomic.  The
-// parallel batch engine (src/runtime) keeps that contract by giving every
-// net its own thread-confined RunStats/StatsSink and folding them into one
-// aggregate registry *after* the join barrier via RunStats::MergeFrom —
-// never by sharing a sink across threads.  Instrument pointers handed out
+// parallel batch engine (src/runtime) and RunMsri's intra-net fan-out keep
+// that contract by giving every net (fan-out task) its own thread-confined
+// RunStats/StatsSink and folding them into one registry *after* the join
+// barrier via RunStats::MergeFrom — never by sharing a sink across
+// threads.  Instrument pointers handed out
 // by RunStats stay valid for the registry's lifetime (node-based map
 // storage).
 #ifndef MSN_OBS_STATS_H
@@ -214,28 +215,15 @@ class StatsSink {
 
   // MSRI phase timers (Figs. 6-10): wall time and invocation counts.
   // JoinSets includes its in-loop chunked MFS pruning (inclusive time).
+  // No counters: RunMsri adds its MsriStats to the registry on exit.
   Timer* msri_leaf;
   Timer* msri_augment;
   Timer* msri_join;
   Timer* msri_repeater;
   Timer* msri_root;
   Timer* msri_total;
-  Counter* msri_solutions;     ///< Candidate solutions generated.
-  Counter* msri_join_candidates;    ///< (s1, s2) pairs JoinSets visited.
-  Counter* msri_join_pruned_early;  ///< Pairs dropped before PWL build.
   Histogram* msri_set_size;    ///< Per-node set sizes after MFS pruning.
-
-  // MFS pruning (Def. 4.3): candidate flow and prune events.
-  Timer* mfs_time;
-  Counter* mfs_calls;
-  Counter* mfs_candidates_in;
-  Counter* mfs_candidates_out;
-  Counter* mfs_comparisons;
-  Counter* mfs_predictive_skipped;  ///< Tests decided by the (cost, cap)
-                                    ///< sort alone; always <= comparisons.
-  Counter* mfs_region_tests;  ///< Tests that reached the PWL region step.
-  Counter* mfs_pruned_full;     ///< Solutions fully invalidated.
-  Counter* mfs_pruned_partial;  ///< Partial-domain prunes (valid shrank).
+  Timer* mfs_time;             ///< Every MFS pruning call (Def. 4.3).
 
   // ARD (Section III): the three passes of the linear-time algorithm.
   Timer* ard_total;

@@ -7,8 +7,8 @@
 //      compare — ScopedSpan does not read the clock when its Trace* is null.
 //   2. Thread-confined by design; nothing is atomic except the process-wide
 //      trace-id generator.  One Trace belongs to one request on one thread.
-//      Parallel RunMsri workers receive a null trace, the same way they
-//      receive a null StatsSink.
+//      Parallel RunMsri workers receive a null trace: unlike a registry, a
+//      span tree has no merge.
 //   3. Bounded memory under storm load.  The span buffer is a fixed-capacity
 //      ring-less buffer: once full, further spans are counted as dropped
 //      instead of recorded, so a pathological request cannot balloon the
@@ -28,6 +28,8 @@
 #include <iosfwd>
 #include <string>
 #include <vector>
+
+#include "obs/stats.h"
 
 namespace msn::obs {
 
@@ -146,6 +148,18 @@ class ScopedSpan {
   std::uint64_t span_id_ = 0;
   std::uint64_t saved_parent_ = 0;
   std::chrono::steady_clock::time_point start_;
+};
+
+/// RAII phase: one scope feeds a timer and a span, either of which may be
+/// null.  `name` must be a string literal.
+class ScopedPhase {
+ public:
+  ScopedPhase(Timer* timer, Trace* trace, const char* name)
+      : timer_(timer), span_(trace, name) {}
+
+ private:
+  ScopedTimer timer_;
+  ScopedSpan span_;
 };
 
 }  // namespace msn::obs

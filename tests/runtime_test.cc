@@ -28,6 +28,7 @@
 #include "core/msri.h"
 #include "io/netfile.h"
 #include "netgen/netgen.h"
+#include "obs/stats.h"
 #include "test_util.h"
 
 namespace msn {
@@ -432,6 +433,50 @@ TEST(IntraNet, ParallelSubtreeSolvesMatchSerialExactly) {
             parallel.Stats().mfs.candidates_in);
   EXPECT_EQ(serial.Stats().mfs.candidates_out,
             parallel.Stats().mfs.candidates_out);
+}
+
+TEST(IntraNet, RegistryMatchesSerial) {
+  const Technology tech = SmallTech();
+  const RcTree tree = ExperimentNet(3, /*terminals=*/12);
+
+  obs::RunStats serial_reg;
+  obs::StatsSink serial_sink(&serial_reg);
+  MsriOptions serial;
+  serial.stats = &serial_sink;
+  RunMsri(tree, tech, serial);
+
+  ThreadPool pool(4);
+  PoolExecutor exec(&pool);
+  obs::RunStats parallel_reg;
+  obs::StatsSink parallel_sink(&parallel_reg);
+  MsriOptions par;
+  par.stats = &parallel_sink;
+  par.executor = &exec;
+  par.parallel_min_nodes = 1;  // Force fan-out at every branch.
+  RunMsri(tree, tech, par);
+
+  // Worker tasks are instrumented like the caller: the same counters, the
+  // same number of timed phase invocations, the same number of recorded
+  // set sizes and PWL results.  Only durations may differ.
+  ASSERT_EQ(serial_reg.Counters().size(), parallel_reg.Counters().size());
+  for (const auto& [name, c] : serial_reg.Counters()) {
+    ASSERT_EQ(parallel_reg.Counters().count(name), 1u) << name;
+    EXPECT_EQ(parallel_reg.Counters().at(name).Value(), c.Value()) << name;
+  }
+  ASSERT_EQ(serial_reg.Timers().size(), parallel_reg.Timers().size());
+  for (const auto& [name, t] : serial_reg.Timers()) {
+    ASSERT_EQ(parallel_reg.Timers().count(name), 1u) << name;
+    EXPECT_EQ(parallel_reg.Timers().at(name).Calls(), t.Calls()) << name;
+  }
+  ASSERT_EQ(serial_reg.Histograms().size(),
+            parallel_reg.Histograms().size());
+  for (const auto& [name, h] : serial_reg.Histograms()) {
+    ASSERT_EQ(parallel_reg.Histograms().count(name), 1u) << name;
+    EXPECT_EQ(parallel_reg.Histograms().at(name).Count(), h.Count()) << name;
+  }
+  EXPECT_GT(serial_reg.Histograms().at("msri.set_size").Count(), 0u);
+  EXPECT_GT(serial_reg.Histograms().at("pwl.shift.segments").Count(), 0u);
+  EXPECT_GT(serial_reg.Counters().at("mfs.calls").Value(), 0u);
 }
 
 TEST(IntraNet, BatchWithIntraNetParallelismStaysDeterministic) {

@@ -282,6 +282,14 @@ TEST(Cancellation, MidRunCancelLeavesValidPartialStats) {
   EXPECT_DOUBLE_EQ(timers.Find("msri.total")->Find("calls")->AsNumber(),
                    1.0);
   EXPECT_GE(timers.Find("msri.leaf")->Find("calls")->AsNumber(), 1.0);
+  // The counters of the work done reach the registry on unwind too, and
+  // every MFS call that was timed was also counted.
+  const JsonValue& counters = *doc.Find("counters");
+  ASSERT_NE(counters.Find("msri.solutions_generated"), nullptr);
+  ASSERT_NE(counters.Find("mfs.calls"), nullptr);
+  EXPECT_GT(counters.Find("msri.solutions_generated")->AsNumber(), 0.0);
+  EXPECT_DOUBLE_EQ(timers.Find("mfs.time")->Find("calls")->AsNumber(),
+                   counters.Find("mfs.calls")->AsNumber());
 }
 
 TEST(Cancellation, CancelAfterCompletionHasNoEffect) {

@@ -108,6 +108,21 @@ if(DEFINED CHECKER)
                             " mfs.region_tests = ${bad}")
       endif()
     endforeach()
+
+    # The checker must tie the mfs.time timer to the mfs.calls counter:
+    # one call off is rejected.
+    string(JSON mfs_calls GET "${doc}" counters "mfs.calls")
+    math(EXPR off_by_one "${mfs_calls} + 1")
+    string(JSON bad_doc SET "${doc}" timers "mfs.time" calls "${off_by_one}")
+    file(WRITE ${WORK}/bad_stats.json "${bad_doc}")
+    execute_process(
+      COMMAND ${PYTHON3} ${CHECKER} --optimize ${WORK}/bad_stats.json
+      RESULT_VARIABLE rc
+      OUTPUT_QUIET ERROR_QUIET)
+    if(rc EQUAL 0)
+      message(FATAL_ERROR "check_stats_schema.py accepted mfs.time calls"
+                          " ${off_by_one} against mfs.calls ${mfs_calls}")
+    endif()
   endif()
 endif()
 

@@ -86,7 +86,9 @@ TEST(RunStats, SinkRegistersTheMsriInstrumentSet) {
         "msri.root", "msri.total", "mfs.time", "ard.total"}) {
     EXPECT_EQ(stats.Timers().count(name), 1u) << name;
   }
-  EXPECT_EQ(stats.Counters().count("mfs.candidates_in"), 1u);
+  // The DP's counters live in MsriStats; RunMsri writes them into the
+  // registry when it exits, so a bare sink registers none.
+  EXPECT_TRUE(stats.Counters().empty());
   EXPECT_EQ(stats.Histograms().count("msri.set_size"), 1u);
 }
 
@@ -373,20 +375,34 @@ TEST(Trace, RunMsriOpensPhaseSpansUnderTotal) {
   const Technology tech = SmallTech();
   const RcTree tree = SmallRandomNet(tech, 5, 6, 9000, 800.0);
   obs::Trace trace(obs::NewTraceId());
+  obs::RunStats stats;
+  obs::StatsSink sink(&stats);
   MsriOptions opt;
   opt.trace = &trace;
+  opt.stats = &sink;
   const MsriResult result = RunMsri(tree, tech, opt);
   ASSERT_FALSE(result.Pareto().empty());
+  ASSERT_EQ(trace.Dropped(), 0u);
 
   std::uint64_t total_id = 0;
+  std::set<std::uint64_t> join_ids;
   for (const obs::TraceSpan& s : trace.Spans()) {
     if (std::string_view(s.name) == "msri.total") total_id = s.span_id;
+    if (std::string_view(s.name) == "msri.join") join_ids.insert(s.span_id);
   }
   ASSERT_NE(total_id, 0u);
   bool saw_leaf = false;
   bool saw_root = false;
+  std::uint64_t mfs_spans = 0;
   for (const obs::TraceSpan& s : trace.Spans()) {
     const std::string_view name(s.name);
+    // MFS pruning is its own span, one per call, opened either between
+    // phases or inside a join's chunked pruning.
+    if (name == "mfs") {
+      ++mfs_spans;
+      EXPECT_TRUE(s.parent_id == total_id || join_ids.count(s.parent_id) == 1)
+          << "mfs span under span " << s.parent_id;
+    }
     if (name == "msri.leaf") {
       saw_leaf = true;
       EXPECT_EQ(s.parent_id, total_id);
@@ -398,6 +414,8 @@ TEST(Trace, RunMsriOpensPhaseSpansUnderTotal) {
   }
   EXPECT_TRUE(saw_leaf);
   EXPECT_TRUE(saw_root);
+  EXPECT_GT(mfs_spans, 0u);
+  EXPECT_EQ(mfs_spans, stats.GetCounter("mfs.calls").Value());
 }
 
 }  // namespace

@@ -124,6 +124,14 @@ def _check_run(doc, where="run"):
             raise SchemaError(f"{where}: counter {small!r}"
                               f" ({small_value}) exceeds {big!r}"
                               f" ({counters.get(big, 0)})")
+    # Every MFS call is both timed (the mfs.time phase) and counted
+    # (MsriStats), also on cancelled runs and merged worker registries.
+    mfs_time = doc["timers"].get("mfs.time")
+    if mfs_time is not None and "mfs.calls" in counters:
+        if mfs_time["calls"] != counters["mfs.calls"]:
+            raise SchemaError(f"{where}: timer 'mfs.time' calls"
+                              f" ({mfs_time['calls']}) differ from counter"
+                              f" 'mfs.calls' ({counters['mfs.calls']})")
     for name, h in doc["histograms"].items():
         if not isinstance(h, dict) or set(h) != set(HISTOGRAM_FIELDS):
             raise SchemaError(f"{where}: histogram {name!r} must have exactly"
