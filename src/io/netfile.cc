@@ -2,10 +2,13 @@
 
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "common/check.h"
+#include "io/scan.h"
 
 namespace msn {
 
@@ -31,12 +34,56 @@ const char* KindName(NodeKind kind) {
   return "?";
 }
 
-NodeKind ParseKind(const std::string& token, std::size_t line) {
+NodeKind ParseKind(std::string_view token, std::size_t line) {
   if (token == "terminal") return NodeKind::kTerminal;
   if (token == "steiner") return NodeKind::kSteiner;
   if (token == "insertion") return NodeKind::kInsertion;
-  FailAt(line, "unknown node kind '" + token + "'");
+  FailAt(line, "unknown node kind '" + std::string(token) + "'");
 }
+
+/// Records keyed by id, for ids that a well-formed file numbers densely
+/// from 0.  Ids below the dense limit index a vector; larger ones, which
+/// only a malformed file holds, go to a map, so a stray huge id costs no
+/// memory.
+template <typename T>
+class IdTable {
+ public:
+  explicit IdTable(std::size_t dense_limit) : dense_limit_(dense_limit) {}
+
+  /// False if `id` is already present.
+  bool Insert(std::size_t id, T value) {
+    if (id >= dense_limit_) {
+      return sparse_.emplace(id, std::move(value)).second;
+    }
+    if (id >= dense_.size()) dense_.resize(id + 1);
+    if (dense_[id].has_value()) return false;
+    dense_[id] = std::move(value);
+    ++dense_count_;
+    return true;
+  }
+
+  const T* Find(std::size_t id) const {
+    if (id < dense_.size()) return dense_[id] ? &*dense_[id] : nullptr;
+    const auto it = sparse_.find(id);
+    return it == sparse_.end() ? nullptr : &it->second;
+  }
+
+  std::size_t Size() const { return dense_count_ + sparse_.size(); }
+
+  /// The smallest id not present.
+  std::size_t FirstMissing() const {
+    std::size_t id = 0;
+    while (id < dense_.size() && dense_[id].has_value()) ++id;
+    while (sparse_.count(id) != 0) ++id;
+    return id;
+  }
+
+ private:
+  std::size_t dense_limit_;
+  std::size_t dense_count_ = 0;
+  std::vector<std::optional<T>> dense_;
+  std::map<std::size_t, T> sparse_;
+};
 
 }  // namespace
 
@@ -68,7 +115,7 @@ void WriteNet(std::ostream& os, const RcTree& tree) {
   os.precision(old_precision);
 }
 
-RcTree ReadNet(std::istream& is) {
+RcTree ReadNet(std::string_view text) {
   struct NodeRecord {
     NodeKind kind;
     Point pos;
@@ -78,26 +125,23 @@ RcTree ReadNet(std::istream& is) {
     double length;
   };
 
+  // Every node or terminal record is longer than 16 bytes, so no id of a
+  // well-formed file reaches the dense limit.
+  const std::size_t dense_limit = text.size() / 16 + 1;
   std::optional<WireParams> wire;
-  std::map<NodeId, NodeRecord> nodes;
-  std::map<NodeId, TerminalParams> terminals;
+  IdTable<NodeRecord> nodes(dense_limit);
+  IdTable<TerminalParams> terminals(dense_limit);
   std::vector<EdgeRecord> edges;
   bool saw_header = false;
   bool saw_end = false;
 
-  std::string line;
-  std::size_t line_no = 0;
-  while (!saw_end && std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;  // Blank or comment-only.
-
+  LineScanner in(text);
+  std::string_view tag;
+  while (!saw_end && in.NextRecord(&tag)) {
+    const std::size_t line_no = in.LineNo();
     if (tag == "msn-net") {
       int version = 0;
-      if (!(ls >> version) || version != 1) {
+      if (!in.Read(&version) || version != 1) {
         FailAt(line_no, "unsupported msn-net version");
       }
       saw_header = true;
@@ -106,77 +150,74 @@ RcTree ReadNet(std::istream& is) {
     if (!saw_header) FailAt(line_no, "missing 'msn-net 1' header");
     if (tag == "wire") {
       WireParams w;
-      if (!(ls >> w.res_per_um >> w.cap_per_um)) {
+      if (!in.Read(&w.res_per_um, &w.cap_per_um)) {
         FailAt(line_no, "malformed wire record");
       }
       wire = w;
     } else if (tag == "node") {
       NodeId id;
-      std::string kind;
+      std::string_view kind;
       NodeRecord rec;
-      if (!(ls >> id >> kind >> rec.pos.x >> rec.pos.y)) {
+      if (!in.Read(&id, &kind, &rec.pos.x, &rec.pos.y)) {
         FailAt(line_no, "malformed node record");
       }
       rec.kind = ParseKind(kind, line_no);
-      if (!nodes.emplace(id, rec).second) {
+      if (!nodes.Insert(id, rec)) {
         FailAt(line_no, "duplicate node " + std::to_string(id));
       }
     } else if (tag == "terminal") {
       NodeId id;
       TerminalParams p;
       int is_source = 1, is_sink = 1;
-      if (!(ls >> id >> p.arrival_ps >> p.downstream_ps >> is_source >>
-            is_sink >> p.driver.pin_cap >> p.driver.driver_res >>
-            p.driver.driver_intrinsic_ps >> p.driver.arrival_extra_ps >>
-            p.driver.downstream_extra_ps >> p.driver.cost)) {
+      if (!in.Read(&id, &p.arrival_ps, &p.downstream_ps, &is_source,
+                   &is_sink, &p.driver.pin_cap, &p.driver.driver_res,
+                   &p.driver.driver_intrinsic_ps, &p.driver.arrival_extra_ps,
+                   &p.driver.downstream_extra_ps, &p.driver.cost)) {
         FailAt(line_no, "malformed terminal record");
       }
       p.is_source = is_source != 0;
       p.is_sink = is_sink != 0;
       p.driver.name = "from-file";
-      if (!terminals.emplace(id, p).second) {
+      if (!terminals.Insert(id, std::move(p))) {
         FailAt(line_no, "duplicate terminal at node " + std::to_string(id));
       }
     } else if (tag == "edge") {
       EdgeRecord e;
-      if (!(ls >> e.a >> e.b >> e.length)) {
+      if (!in.Read(&e.a, &e.b, &e.length)) {
         FailAt(line_no, "malformed edge record");
       }
       edges.push_back(e);
     } else if (tag == "end") {
       saw_end = true;
     } else {
-      FailAt(line_no, "unknown record '" + tag + "'");
+      FailAt(line_no, "unknown record '" + std::string(tag) + "'");
     }
   }
   if (!saw_end) FailAt(0, "missing 'end' record");
   if (!wire.has_value()) FailAt(0, "missing wire record");
-  if (nodes.empty()) FailAt(0, "net has no nodes");
-
-  // Ids must be dense 0..n-1 (std::map iterates in order).
-  NodeId expected = 0;
-  for (const auto& [id, rec] : nodes) {
-    if (id != expected) {
-      FailAt(0, "node ids must be dense; missing node " +
-                    std::to_string(expected));
-    }
-    ++expected;
+  if (nodes.Size() == 0) FailAt(0, "net has no nodes");
+  // Ids must be dense 0..n-1.
+  if (const std::size_t missing = nodes.FirstMissing();
+      missing != nodes.Size()) {
+    FailAt(0, "node ids must be dense; missing node " +
+                  std::to_string(missing));
   }
 
   RcTree tree(*wire);
-  for (const auto& [id, rec] : nodes) {
+  for (NodeId id = 0; id < nodes.Size(); ++id) {
+    const NodeRecord& rec = *nodes.Find(id);
     if (rec.kind == NodeKind::kTerminal) {
-      const auto it = terminals.find(id);
-      if (it == terminals.end()) {
+      const TerminalParams* params = terminals.Find(id);
+      if (params == nullptr) {
         FailAt(0, "terminal node " + std::to_string(id) +
                       " has no terminal record");
       }
-      tree.AddTerminal(it->second, rec.pos);
+      tree.AddTerminal(*params, rec.pos);
     } else {
       tree.AddNode(rec.kind, rec.pos);
     }
   }
-  if (terminals.size() != tree.NumTerminals()) {
+  if (terminals.Size() != tree.NumTerminals()) {
     FailAt(0, "terminal record for a non-terminal node");
   }
   for (const EdgeRecord& e : edges) {
@@ -185,6 +226,8 @@ RcTree ReadNet(std::istream& is) {
   tree.Validate();
   return tree;
 }
+
+RcTree ReadNet(std::istream& is) { return ReadNet(ReadAll(is)); }
 
 void WriteSolution(std::ostream& os, const RcTree& tree,
                    const TradeoffPoint& point) {
@@ -213,19 +256,15 @@ void WriteSolution(std::ostream& os, const RcTree& tree,
 
 SolutionFile ReadSolution(std::istream& is, const RcTree& tree) {
   SolutionFile sol(tree);
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;
+  const std::string text = ReadAll(is);
+  LineScanner in(text);
+  std::string_view tag;
+  while (in.NextRecord(&tag)) {
+    const std::size_t line_no = in.LineNo();
     if (tag == "repeater") {
       NodeId v, a_side;
       std::size_t index;
-      if (!(ls >> v >> index >> a_side)) {
+      if (!in.Read(&v, &index, &a_side)) {
         FailAt(line_no, "malformed repeater record");
       }
       if (v >= tree.NumNodes() ||
@@ -236,9 +275,9 @@ SolutionFile ReadSolution(std::istream& is, const RcTree& tree) {
     } else if (tag == "driver") {
       std::size_t t;
       TerminalOption o;
-      if (!(ls >> t >> o.cost >> o.arrival_extra_ps >> o.driver_res >>
-            o.driver_intrinsic_ps >> o.pin_cap >> o.downstream_extra_ps >>
-            o.name)) {
+      if (!in.Read(&t, &o.cost, &o.arrival_extra_ps, &o.driver_res,
+                   &o.driver_intrinsic_ps, &o.pin_cap,
+                   &o.downstream_extra_ps, &o.name)) {
         FailAt(line_no, "malformed driver record");
       }
       if (t >= tree.NumTerminals()) {
@@ -248,7 +287,7 @@ SolutionFile ReadSolution(std::istream& is, const RcTree& tree) {
     } else if (tag == "width") {
       std::size_t e;
       double w;
-      if (!(ls >> e >> w)) {
+      if (!in.Read(&e, &w)) {
         FailAt(line_no, "malformed width record");
       }
       if (e >= tree.NumEdges()) {
@@ -259,16 +298,16 @@ SolutionFile ReadSolution(std::istream& is, const RcTree& tree) {
       }
       sol.wire_widths[e] = w;
     } else {
-      FailAt(line_no, "unknown record '" + tag + "'");
+      FailAt(line_no, "unknown record '" + std::string(tag) + "'");
     }
   }
   return sol;
 }
 
 RcTree RoundTripNet(const RcTree& tree) {
-  std::stringstream ss;
-  WriteNet(ss, tree);
-  return ReadNet(ss);
+  std::ostringstream os;
+  WriteNet(os, tree);
+  return ReadNet(os.str());
 }
 
 }  // namespace msn

@@ -29,6 +29,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/check.h"
 #include "core/msri.h"
@@ -53,9 +54,13 @@ class ParseError : public CheckError {
 /// Writes the net (structure + terminal electricals) in .msn format.
 void WriteNet(std::ostream& os, const RcTree& tree);
 
-/// Parses a .msn stream.  Throws msn::ParseError with the offending line
-/// number on malformed input; the returned tree is validated (structural
-/// violations surface as CheckError from RcTree::Validate).
+/// Parses .msn text up to its `end` record.  Throws msn::ParseError with
+/// the offending line number on malformed input; the returned tree is
+/// validated (structural violations surface as CheckError from
+/// RcTree::Validate).
+RcTree ReadNet(std::string_view text);
+
+/// ReadNet on the rest of `is`.
 RcTree ReadNet(std::istream& is);
 
 /// Writes `point`'s assignments (after a WriteNet header) so a solution

@@ -1,6 +1,7 @@
 #include "obs/stats.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <iomanip>
 #include <ostream>
@@ -34,9 +35,12 @@ std::string JsonEscape(const std::string& s) {
 
 std::string JsonNumber(double v) {
   if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os << std::setprecision(15) << v;
-  return os.str();
+  // printf("%.15g") text, as `ostream << setprecision(15)` writes it,
+  // without constructing a stream per number.
+  char buf[32];
+  const std::to_chars_result r =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 15);
+  return std::string(buf, r.ptr);
 }
 
 std::string JsonBucketBound(double v) {

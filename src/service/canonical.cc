@@ -19,9 +19,9 @@ void AppendDouble(std::string* out, double v) {
   std::uint64_t bits = std::bit_cast<std::uint64_t>(v);
   if (std::isnan(v)) bits = 0x7ff8000000000000ull;
   static const char kHex[] = "0123456789abcdef";
-  for (int shift = 60; shift >= 0; shift -= 4) {
-    out->push_back(kHex[(bits >> shift) & 0xF]);
-  }
+  char digits[16];
+  for (int i = 15; i >= 0; --i, bits >>= 4) digits[i] = kHex[bits & 0xF];
+  out->append(digits, sizeof digits);
 }
 
 void AppendSize(std::string* out, std::size_t v) {
@@ -60,34 +60,40 @@ std::string OptionPayload(const TerminalOption& opt) {
   return out;
 }
 
-/// Node payload: kind plus, for terminals, the full electrical identity.
-/// Plane coordinates are rendering-only and excluded.
-std::string NodePayload(const RcTree& tree, NodeId v) {
+/// Appends the node payload: kind plus, for terminals, the full
+/// electrical identity.  Plane coordinates are rendering-only and
+/// excluded.
+void AppendNodePayload(std::string* out, const RcTree& tree, NodeId v) {
   const RcNode& node = tree.Node(v);
   switch (node.kind) {
     case NodeKind::kSteiner:
-      return "S";
+      out->push_back('S');
+      return;
     case NodeKind::kInsertion:
-      return "I";
+      out->push_back('I');
+      return;
     case NodeKind::kTerminal: {
       const TerminalParams& t = tree.Terminal(node.terminal_index);
-      std::string out = "T";
-      AppendDouble(&out, t.arrival_ps);
-      AppendDouble(&out, t.downstream_ps);
-      AppendBool(&out, t.is_source);
-      AppendBool(&out, t.is_sink);
-      AppendOption(&out, t.driver);
-      return out;
+      out->push_back('T');
+      AppendDouble(out, t.arrival_ps);
+      AppendDouble(out, t.downstream_ps);
+      AppendBool(out, t.is_source);
+      AppendBool(out, t.is_sink);
+      AppendOption(out, t.driver);
+      return;
     }
   }
-  return "?";  // Unreachable; kinds are exhaustive.
+  out->push_back('?');  // Unreachable; kinds are exhaustive.
 }
 
-/// Canonical encoding of the tree rooted at `root`: iterative reverse-BFS
-/// post-order (insertion-point chains make recursion depth unbounded),
-/// children folded as a sorted multiset of (edge payload + child
-/// encoding) so adjacency order and edge declaration order vanish.
-std::string EncodeRootedTree(const RcTree& tree, NodeId root) {
+/// Canonical encoding of the tree rooted at `root`, appended to `out`:
+/// iterative reverse-BFS post-order (insertion-point chains make
+/// recursion depth unbounded), children folded as a sorted multiset of
+/// (edge payload + child encoding) so adjacency order and edge
+/// declaration order vanish.  Each subtree is encoded once, edge prefix
+/// included, into a string reserved up front; its parent sorts child ids
+/// by those strings and appends them.
+void AppendRootedTree(std::string* out, const RcTree& tree, NodeId root) {
   const std::size_t n = tree.NumNodes();
   std::vector<NodeId> parent(n, kNoNode);
   std::vector<std::size_t> parent_edge(n, static_cast<std::size_t>(-1));
@@ -110,31 +116,42 @@ std::string EncodeRootedTree(const RcTree& tree, NodeId root) {
   MSN_CHECK_MSG(order.size() == n,
                 "canonicalize: tree is disconnected from the root");
 
+  // 'E' and three doubles, then the largest node payload (a terminal)
+  // and the parentheses.
+  constexpr std::size_t kMaxOwnBytes = (1 + 3 * 16) + (1 + 2 * 16 + 2) +
+                                       (1 + 6 * 16) + 2;
   std::vector<std::string> enc(n);
-  std::vector<std::vector<std::string>> child_parts(n);
+  std::vector<NodeId> kids;
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const NodeId v = *it;
-    std::vector<std::string>& parts = child_parts[v];
-    std::sort(parts.begin(), parts.end());
-    std::string s = NodePayload(tree, v);
-    s.push_back('(');
-    for (const std::string& part : parts) s += part;
-    s.push_back(')');
-    child_parts[v].clear();
-    child_parts[v].shrink_to_fit();
+    kids.clear();
+    std::size_t size = kMaxOwnBytes;
+    for (const std::size_t e : tree.AdjacentEdges(v)) {
+      const RcEdge& edge = tree.Edge(e);
+      const NodeId w = edge.a == v ? edge.b : edge.a;
+      if (parent_edge[w] != e) continue;  // `e` leads to v's parent.
+      kids.push_back(w);
+      size += enc[w].size();
+    }
+    std::sort(kids.begin(), kids.end(),
+              [&enc](NodeId a, NodeId b) { return enc[a] < enc[b]; });
+    std::string* s = v == root ? out : &enc[v];
+    s->reserve(s->size() + size);
     if (v != root) {
       const RcEdge& edge = tree.Edge(parent_edge[v]);
-      std::string up = "E";
-      AppendDouble(&up, edge.length_um);
-      AppendDouble(&up, edge.res);
-      AppendDouble(&up, edge.cap);
-      up += s;
-      child_parts[parent[v]].push_back(std::move(up));
-    } else {
-      enc[root] = std::move(s);
+      s->push_back('E');
+      AppendDouble(s, edge.length_um);
+      AppendDouble(s, edge.res);
+      AppendDouble(s, edge.cap);
     }
+    AppendNodePayload(s, tree, v);
+    s->push_back('(');
+    for (const NodeId w : kids) {
+      s->append(enc[w]);
+      std::string().swap(enc[w]);  // Each encoding is used once.
+    }
+    s->push_back(')');
   }
-  return std::move(enc[root]);
 }
 
 std::uint64_t SplitMix64(std::uint64_t x) {
@@ -142,15 +159,6 @@ std::uint64_t SplitMix64(std::uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
   return x ^ (x >> 31);
-}
-
-std::uint64_t Fnv1a(const std::string& bytes, std::uint64_t basis) {
-  std::uint64_t h = basis;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 }  // namespace
@@ -168,11 +176,17 @@ std::string Fingerprint::Hex() const {
 }
 
 Fingerprint HashBytes(const std::string& bytes) {
-  // Two independently seeded FNV-1a streams, finalized through splitmix64
-  // and entangled with the length; collisions are survivable (the cache
-  // compares canonical text on hit) but should stay vanishingly rare.
-  const std::uint64_t a = Fnv1a(bytes, 0xcbf29ce484222325ull);
-  const std::uint64_t b = Fnv1a(bytes, 0x84222325cbf29ce4ull);
+  // Two independently seeded FNV-1a streams, hashed in one pass,
+  // finalized through splitmix64 and entangled with the length;
+  // collisions are survivable (the cache compares canonical text on
+  // hit) but should stay vanishingly rare.
+  std::uint64_t a = 0xcbf29ce484222325ull;
+  std::uint64_t b = 0x84222325cbf29ce4ull;
+  for (const char c : bytes) {
+    const auto byte = static_cast<unsigned char>(c);
+    a = (a ^ byte) * 0x100000001b3ull;
+    b = (b ^ byte) * 0x100000001b3ull;
+  }
   Fingerprint fp;
   fp.hi = SplitMix64(a ^ SplitMix64(bytes.size()));
   fp.lo = SplitMix64(b + 0x9e3779b97f4a7c15ull * (bytes.size() + 1));
@@ -186,7 +200,7 @@ CanonicalRequest Canonicalize(const RcTree& tree, const Technology& tech,
       options.root == kNoNode ? tree.TerminalNode(0) : options.root;
 
   std::string text = "msn-canonical-v1|net:";
-  text += EncodeRootedTree(tree, root);
+  AppendRootedTree(&text, tree, root);
 
   // Tree-level wire parameters (insertion-point subdivision derives
   // parasitics from them; edges already carry resolved values, but the

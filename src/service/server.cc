@@ -29,10 +29,20 @@
 namespace msn::service {
 namespace {
 
-/// Renders one frontier point as a [cost, ard_ps, num_repeaters] triple.
-void AppendPoint(std::ostream& os, const TradeoffSummary& p) {
-  os << '[' << obs::JsonNumber(p.cost) << ',' << obs::JsonNumber(p.ard_ps)
-     << ',' << p.num_repeaters << ']';
+/// Renders one frontier point as a [cost, ard_ps, num_repeaters] triple,
+/// or no point as null.
+void AppendPoint(std::string* out, const TradeoffSummary* p) {
+  if (p == nullptr) {
+    out->append("null");
+    return;
+  }
+  out->append("[")
+      .append(obs::JsonNumber(p->cost))
+      .append(",")
+      .append(obs::JsonNumber(p->ard_ps))
+      .append(",")
+      .append(std::to_string(p->num_repeaters))
+      .append("]");
 }
 
 /// The optional leading `"id":<json>,` fragment echoed into every
@@ -223,10 +233,9 @@ std::string Server::RunOptimize(const JsonValue& request,
       return ErrorResponse(id_field, "optimize requires a string 'net'",
                            false);
     }
-    std::istringstream net_stream(net->AsString());
     const RcTree tree = [&] {
       const obs::ScopedSpan parse_span(trace, "server.parse_net");
-      return ReadNet(net_stream);
+      return ReadNet(net->AsString());
     }();
 
     // Mode resolution mirrors `msn_cli optimize --mode`.
@@ -355,41 +364,38 @@ std::string Server::RunOptimize(const JsonValue& request,
 
     // The payload is a pure function of the request: no timing, no
     // hit/miss marker — a cached answer is byte-identical to the first.
-    std::ostringstream os;
-    os << '{' << id_field << "\"ok\":true,\"fingerprint\":\""
-       << canon.fingerprint.Hex() << "\",\"pareto_points\":"
-       << summary->pareto.size() << ",\"pareto\":[";
-    for (std::size_t i = 0; i < summary->pareto.size(); ++i) {
-      if (i > 0) os << ',';
-      AppendPoint(os, summary->pareto[i]);
-    }
-    os << "],\"min_cost\":";
-    if (const TradeoffSummary* p = summary->MinCost()) {
-      AppendPoint(os, *p);
-    } else {
-      os << "null";
-    }
-    os << ",\"min_ard\":";
-    if (const TradeoffSummary* p = summary->MinArd()) {
-      AppendPoint(os, *p);
-    } else {
-      os << "null";
-    }
-    if (spec.has_value()) {
-      os << ",\"spec_ps\":" << obs::JsonNumber(*spec) << ",\"pick\":";
-      if (const TradeoffSummary* p = summary->MinCostFeasible(*spec)) {
-        AppendPoint(os, *p);
-      } else {
-        os << "null";
+    std::string response;
+    {
+      const obs::ScopedSpan respond_span(trace, "server.respond");
+      response.append("{")
+          .append(id_field)
+          .append("\"ok\":true,\"fingerprint\":\"")
+          .append(canon.fingerprint.Hex())
+          .append("\",\"pareto_points\":")
+          .append(std::to_string(summary->pareto.size()))
+          .append(",\"pareto\":[");
+      for (std::size_t i = 0; i < summary->pareto.size(); ++i) {
+        if (i > 0) response.append(",");
+        AppendPoint(&response, &summary->pareto[i]);
       }
+      response.append("],\"min_cost\":");
+      AppendPoint(&response, summary->MinCost());
+      response.append(",\"min_ard\":");
+      AppendPoint(&response, summary->MinArd());
+      if (spec.has_value()) {
+        response.append(",\"spec_ps\":")
+            .append(obs::JsonNumber(*spec))
+            .append(",\"pick\":");
+        AppendPoint(&response, summary->MinCostFeasible(*spec));
+      }
+      response.append("}");
     }
-    os << '}';
     {
       const std::lock_guard<std::mutex> lock(stats_mu_);
       ++counters_.ok;
     }
     *outcome = ran_dp ? kLatencyMiss : kLatencyHit;
-    return os.str();
+    return response;
   } catch (const CancelledError&) {
     const bool conn_gone =
         rctx.conn != nullptr && rctx.conn->CancelRequested();

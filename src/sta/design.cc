@@ -3,9 +3,10 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
+#include <string_view>
 
 #include "common/check.h"
+#include "io/scan.h"
 
 namespace msn::sta {
 
@@ -24,11 +25,11 @@ const char* DirName(PinDir dir) {
   return "?";
 }
 
-PinDir ParseDir(const std::string& token, std::size_t line) {
+PinDir ParseDir(std::string_view token, std::size_t line) {
   if (token == "in") return PinDir::kIn;
   if (token == "out") return PinDir::kOut;
   if (token == "inout") return PinDir::kInOut;
-  FailAt(line, "unknown pin direction '" + token + "'");
+  FailAt(line, "unknown pin direction '" + std::string(token) + "'");
 }
 
 /// Names become endpoint tokens, so they must be non-empty and '.'-free
@@ -292,19 +293,14 @@ Design ReadDesign(std::istream& is) {
   bool saw_header = false;
   bool saw_end = false;
 
-  std::string line;
-  std::size_t line_no = 0;
-  while (!saw_end && std::getline(is, line)) {
-    ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    std::istringstream ls(line);
-    std::string tag;
-    if (!(ls >> tag)) continue;  // Blank or comment-only.
-
+  const std::string text = ReadAll(is);
+  LineScanner in(text);
+  std::string_view tag;
+  while (!saw_end && in.NextRecord(&tag)) {
+    const std::size_t line_no = in.LineNo();
     if (tag == "msn-design") {
       int version = 0;
-      if (!(ls >> version) || version != 1) {
+      if (!in.Read(&version) || version != 1) {
         FailAt(line_no, "unsupported msn-design version");
       }
       saw_header = true;
@@ -313,11 +309,12 @@ Design ReadDesign(std::istream& is) {
     if (!saw_header) FailAt(line_no, "missing 'msn-design 1' header");
     if (tag == "component") {
       std::string name;
-      if (!(ls >> name)) FailAt(line_no, "malformed component record");
+      if (!in.Read(&name)) FailAt(line_no, "malformed component record");
       design.AddComponent(name, line_no);
     } else if (tag == "pin") {
-      std::string comp_name, pin_name, dir;
-      if (!(ls >> comp_name >> pin_name >> dir)) {
+      std::string comp_name, pin_name;
+      std::string_view dir;
+      if (!in.Read(&comp_name, &pin_name, &dir)) {
         FailAt(line_no, "malformed pin record");
       }
       const std::size_t comp = design.FindComponent(comp_name);
@@ -329,7 +326,7 @@ Design ReadDesign(std::istream& is) {
     } else if (tag == "arc") {
       std::string comp_name, from, to;
       double delay = 0.0;
-      if (!(ls >> comp_name >> from >> to >> delay)) {
+      if (!in.Read(&comp_name, &from, &to, &delay)) {
         FailAt(line_no, "malformed arc record");
       }
       const std::size_t comp = design.FindComponent(comp_name);
@@ -341,8 +338,8 @@ Design ReadDesign(std::istream& is) {
     } else if (tag == "input" || tag == "output") {
       std::string name;
       double time_ps = 0.0;
-      if (!(ls >> name >> time_ps)) {
-        FailAt(line_no, "malformed " + tag + " record");
+      if (!in.Read(&name, &time_ps)) {
+        FailAt(line_no, "malformed " + std::string(tag) + " record");
       }
       if (tag == "input") {
         design.AddInputPort(name, time_ps, line_no);
@@ -351,15 +348,15 @@ Design ReadDesign(std::istream& is) {
       }
     } else if (tag == "net") {
       std::string name, path;
-      if (!(ls >> name >> path)) FailAt(line_no, "malformed net record");
+      if (!in.Read(&name, &path)) FailAt(line_no, "malformed net record");
       std::vector<std::string> endpoints;
       std::string token;
-      while (ls >> token) endpoints.push_back(token);
+      while (in.Read(&token)) endpoints.push_back(token);
       design.AddNet(name, path, endpoints, line_no);
     } else if (tag == "end") {
       saw_end = true;
     } else {
-      FailAt(line_no, "unknown record '" + tag + "'");
+      FailAt(line_no, "unknown record '" + std::string(tag) + "'");
     }
   }
   if (!saw_end) FailAt(0, "missing 'end' record");

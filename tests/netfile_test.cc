@@ -117,33 +117,96 @@ TEST(NetFile, CommentsAndBlankLinesIgnored) {
   EXPECT_DOUBLE_EQ(tree.Terminal(0).driver.driver_res, 180.0);
 }
 
+/// One malformed input and the exact diagnostic it must produce.
+struct ParseCase {
+  std::string text;
+  std::size_t line;
+  std::string what;
+};
+
 TEST(NetFile, MalformedInputsRejectedWithLineNumbers) {
-  auto expect_throw = [](const std::string& text, const char* what) {
-    std::stringstream ss(text);
+  const std::string kHead = "msn-net 1\nwire 0.04 0.0001\n";
+  const std::string kTerm = " 0 0 1 1 0.05 180 36.4 20 72.4 2\n";
+  const std::string kPair = "node 0 terminal 0 0\nnode 1 terminal 9 0\n";
+  const ParseCase cases[] = {
+      {"node 0 terminal 0 0\n", 1, "line 1: missing 'msn-net 1' header"},
+      {"msn-net 2\nend\n", 1, "line 1: unsupported msn-net version"},
+      {"msn-net\nend\n", 1, "line 1: unsupported msn-net version"},
+      {kHead + "end\n", 0, "net has no nodes"},
+      {kHead + "node 0 bogus 0 0\nend\n", 3,
+       "line 3: unknown node kind 'bogus'"},
+      {kHead + "node 0 steiner 0 0\nnode 0 steiner 1 1\nend\n", 4,
+       "line 4: duplicate node 0"},
+      {kHead + "node 0 steiner 0 0\nnode 2 steiner 1 1\nend\n", 0,
+       "node ids must be dense; missing node 1"},
+      {kHead + "node 0 terminal 0 0\nend\n", 0,
+       "terminal node 0 has no terminal record"},
+      {"msn-net 1\nwire 0.04\nend\n", 2, "line 2: malformed wire record"},
+      {kHead + "node 0 terminal 0\nend\n", 3,
+       "line 3: malformed node record"},
+      {kHead + "node 0 steiner 1.5 0\nend\n", 3,
+       "line 3: malformed node record"},
+      {kHead + kPair + "terminal 0 0 0 1 1\nend\n", 5,
+       "line 5: malformed terminal record"},
+      {kHead + kPair + "terminal 0" + kTerm + "terminal 0" + kTerm +
+           "end\n",
+       6, "line 6: duplicate terminal at node 0"},
+      {kHead + kPair + "edge 0 1\nend\n", 5,
+       "line 5: malformed edge record"},
+      {kHead + kPair + "edge 0 1 inf\nend\n", 5,
+       "line 5: malformed edge record"},
+      {kHead + "bogus 1 2\nend\n", 3, "line 3: unknown record 'bogus'"},
+      {kHead + kPair + "\n# no end\n", 0, "missing 'end' record"},
+      {"msn-net 1\nnode 0 steiner 0 0\nend\n", 0, "missing wire record"},
+      {kHead + "node 0 steiner 0 0\nterminal 0" + kTerm + "end\n", 0,
+       "terminal record for a non-terminal node"},
+      {kHead + "node 0 steiner 0 0\nterminal 7" + kTerm + "end\n", 0,
+       "terminal record for a non-terminal node"},
+      {kHead + "node -1 steiner 0 0\nend\n", 0,
+       "node ids must be dense; missing node 0"},
+      {kHead + "node -1 steiner 0 0\nnode 18446744073709551615 steiner 0 0\n"
+               "end\n",
+       4, "line 4: duplicate node 18446744073709551615"},
+  };
+  for (const ParseCase& c : cases) {
+    std::stringstream ss(c.text);
     try {
       ReadNet(ss);
-      FAIL() << "expected failure: " << what;
-    } catch (const CheckError& e) {
-      SUCCEED();
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.Line(), c.line) << c.text;
+      EXPECT_EQ(std::string(e.what()), c.what) << c.text;
     }
+  }
+}
+
+TEST(NetFile, SolutionParseErrorsPinned) {
+  const Technology tech = testing::SmallTech();
+  const RcTree tree = testing::TwoPinLine(tech, 1000.0, 1);  // Node 2: IP.
+  const ParseCase cases[] = {
+      {"repeater 2 0\n", 1, "line 1: malformed repeater record"},
+      {"\nrepeater 0 0 1\n", 2,
+       "line 2: repeater must sit on an insertion point"},
+      {"repeater 9 0 1\n", 1,
+       "line 1: repeater must sit on an insertion point"},
+      {"driver 0 2 20 180 36.4 0.05 72.4\n", 1,
+       "line 1: malformed driver record"},
+      {"driver 7 2 20 180 36.4 0.05 72.4 x\n", 1,
+       "line 1: terminal out of range"},
+      {"width 1\n", 1, "line 1: malformed width record"},
+      {"# widths\nwidth 99 2.0\n", 2, "line 2: edge index out of range"},
+      {"repeater 2 0 1\nbogus\n", 2, "line 2: unknown record 'bogus'"},
   };
-  expect_throw("node 0 terminal 0 0\n", "missing header");
-  expect_throw("msn-net 2\nend\n", "bad version");
-  expect_throw("msn-net 1\nwire 0.04 0.0001\nend\n", "no nodes");
-  expect_throw(
-      "msn-net 1\nwire 0.04 0.0001\nnode 0 bogus 0 0\nend\n",
-      "bad kind");
-  expect_throw(
-      "msn-net 1\nwire 0.04 0.0001\nnode 0 steiner 0 0\n"
-      "node 0 steiner 1 1\nend\n",
-      "duplicate node");
-  expect_throw(
-      "msn-net 1\nwire 0.04 0.0001\nnode 0 steiner 0 0\n"
-      "node 2 steiner 1 1\nend\n",
-      "non-dense ids");
-  expect_throw(
-      "msn-net 1\nwire 0.04 0.0001\nnode 0 terminal 0 0\nend\n",
-      "terminal without record");
+  for (const ParseCase& c : cases) {
+    std::stringstream ss(c.text);
+    try {
+      ReadSolution(ss, tree);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.Line(), c.line) << c.text;
+      EXPECT_EQ(std::string(e.what()), c.what) << c.text;
+    }
+  }
 }
 
 TEST(NetFile, SolutionRejectsBadTargets) {

@@ -165,6 +165,48 @@ TEST(DesignFormat, MalformedRecordsCarryLineNumbers) {
   }
 }
 
+TEST(DesignFormat, ReaderErrorsPinned) {
+  const struct {
+    const char* text;
+    std::size_t line;
+    const char* what;
+  } kCases[] = {
+      {"msn-design 2\n", 1, "line 1: unsupported msn-design version"},
+      {"component u0\n", 1, "line 1: missing 'msn-design 1' header"},
+      {"msn-design 1\ncomponent\nend\n", 2,
+       "line 2: malformed component record"},
+      {"msn-design 1\ncomponent u0\npin u0 a\nend\n", 3,
+       "line 3: malformed pin record"},
+      {"msn-design 1\npin u0 a in\nend\n", 2,
+       "line 2: pin references unknown component 'u0'"},
+      {"msn-design 1\ncomponent u0\npin u0 a sideways\nend\n", 3,
+       "line 3: unknown pin direction 'sideways'"},
+      {"msn-design 1\ncomponent u0\narc u0 a b\nend\n", 3,
+       "line 3: malformed arc record"},
+      {"msn-design 1\ncomponent u0\narc u0 a b x\nend\n", 3,
+       "line 3: malformed arc record"},
+      {"msn-design 1\narc u9 a b 1\nend\n", 2,
+       "line 2: arc references unknown component 'u9'"},
+      {"msn-design 1\ninput a\nend\n", 2, "line 2: malformed input record"},
+      {"msn-design 1\n\noutput z 1e400\nend\n", 3,
+       "line 3: malformed output record"},
+      {"msn-design 1\nnet n0 # f.msn a b\nend\n", 2,
+       "line 2: malformed net record"},
+      {"msn-design 1\r\nbogus x\r\nend\r\n", 2,
+       "line 2: unknown record 'bogus'"},
+      {"msn-design 1\ninput a 0\n", 0, "missing 'end' record"},
+  };
+  for (const auto& c : kCases) {
+    try {
+      ParseDesign(c.text);
+      ADD_FAILURE() << "accepted: " << c.text;
+    } catch (const ParseError& e) {
+      EXPECT_EQ(e.Line(), c.line) << c.text;
+      EXPECT_EQ(std::string(e.what()), c.what) << c.text;
+    }
+  }
+}
+
 TEST(DesignFormat, DanglingPinFailsValidationAtItsLine) {
   Design design = ParseDesign(
       "msn-design 1\n"

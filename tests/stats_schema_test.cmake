@@ -123,6 +123,31 @@ if(DEFINED CHECKER)
       message(FATAL_ERROR "check_stats_schema.py accepted mfs.time calls"
                           " ${off_by_one} against mfs.calls ${mfs_calls}")
     endif()
+
+    # Sizing mode inserts no repeaters, so its msri.repeater timer never
+    # fires: the document is still valid.
+    run_cli(0 out optimize net.msn --mode sizing --stats=sizing_stats.json)
+    execute_process(
+      COMMAND ${PYTHON3} ${CHECKER} --optimize ${WORK}/sizing_stats.json
+      RESULT_VARIABLE rc
+      OUTPUT_VARIABLE out
+      ERROR_VARIABLE err)
+    if(NOT rc EQUAL 0)
+      message(FATAL_ERROR "check_stats_schema.py rejected a sizing run:"
+                          " ${out} ${err}")
+    endif()
+
+    # A repeater-mode run whose msri.repeater phase never fired is not.
+    string(JSON bad_doc SET "${doc}" timers "msri.repeater" calls 0)
+    file(WRITE ${WORK}/bad_stats.json "${bad_doc}")
+    execute_process(
+      COMMAND ${PYTHON3} ${CHECKER} --optimize ${WORK}/bad_stats.json
+      RESULT_VARIABLE rc
+      OUTPUT_QUIET ERROR_QUIET)
+    if(rc EQUAL 0)
+      message(FATAL_ERROR "check_stats_schema.py accepted a repeaters run"
+                          " with msri.repeater calls 0")
+    endif()
   endif()
 endif()
 

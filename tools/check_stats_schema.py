@@ -151,9 +151,15 @@ def _check_optimize_run(doc, where):
     """Extra requirements for msn_cli optimize output (full pipeline)."""
     _check_run(doc, where)
     timers = doc["timers"]
+    # Driver sizing alone inserts no repeaters: its msri.repeater timer is
+    # registered but never fires.  Repeater and joint runs must fire it.
+    inserts_repeaters = (doc["labels"].get("mode", "repeaters")
+                         in ("repeaters", "joint"))
     for name in REQUIRED_MSRI_TIMERS:
         if name not in timers:
             raise SchemaError(f"{where}: missing DP phase timer {name!r}")
+        if name == "msri.repeater" and not inserts_repeaters:
+            continue
         if timers[name]["calls"] < 1:
             raise SchemaError(f"{where}: phase timer {name!r} never fired")
     if "mfs.prune_rate" not in doc["values"]:

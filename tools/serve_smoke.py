@@ -20,7 +20,9 @@ service contracts from docs/SERVICE.md:
   * with --trace-dir, every sampled optimize writes a Chrome trace-event
     JSON file named after the trace_id echoed in its response line, the
     file validates under trace_view.py --check, and the span tree nests
-    server.request -> cache/DP spans down to the msri phases.
+    server.request -> cache/DP spans down to the msri phases, with
+    server.respond (response serialization) directly under
+    server.request.
 
 Responses carry a per-request trace_id, unique by design, so identity
 checks compare lines with the trace_id stripped (strip_trace).
@@ -330,10 +332,17 @@ def scenario_trace(cli, jobs):
             names = {ev["name"] for ev in events}
             spans = {ev["args"]["span_id"]: ev for ev in events}
             for want in ("server.request", "server.parse_net",
-                         "cache.lookup"):
+                         "cache.lookup", "server.respond"):
                 if want not in names:
                     fail("trace %s missing %s span (got %s)"
                          % (rid, want, sorted(names)))
+            # Response serialization is its own span on hits and misses.
+            respond = next(ev for ev in events
+                           if ev["name"] == "server.respond")
+            if (spans[respond["args"]["parent_id"]]["name"]
+                    != "server.request"):
+                fail("server.respond parent is %r, wanted server.request"
+                     % spans[respond["args"]["parent_id"]]["name"])
             if rid == "a2":
                 if "dp.run" in names:
                     fail("cache-hit request a2 has a dp.run span")
