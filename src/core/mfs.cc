@@ -7,12 +7,50 @@
 namespace msn {
 namespace {
 
+bool CostCapLess(const MsriSolution& a, const MsriSolution& b) {
+  if (a.cost != b.cost) return a.cost < b.cost;
+  return a.cap < b.cap;
+}
+
 void SortByCostCap(SolutionSet& set) {
   std::sort(set.begin(), set.end(),
             [](const SolutionPtr& a, const SolutionPtr& b) {
-              if (a->cost != b->cost) return a->cost < b->cost;
-              return a->cap < b->cap;
+              return CostCapLess(*a, *b);
             });
+}
+
+/// Drops the candidates with no valid region and sorts the rest by
+/// (cost, cap), returning each one's "already minimal" bit (its input
+/// index was below `minimal_prefix`) in the sorted order.  The bit rides
+/// through the filter and the sort in a {solution, bit} record: std::sort
+/// decides its moves from the comparator alone, so the records land in
+/// exactly the permutation SortByCostCap gives the bare pointers, and the
+/// order of tied entries does not depend on the prefix.
+std::vector<std::uint8_t> FilterAndSort(SolutionSet& set,
+                                        std::size_t minimal_prefix) {
+  struct Entry {
+    SolutionPtr s;
+    std::uint8_t minimal;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(set.size());
+  for (std::size_t i = 0; i < set.size(); ++i) {
+    if (set[i] && !set[i]->valid.Empty()) {
+      entries.push_back({std::move(set[i]), i < minimal_prefix});
+    }
+  }
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) {
+              return CostCapLess(*a.s, *b.s);
+            });
+  set.clear();
+  std::vector<std::uint8_t> minimal;
+  minimal.reserve(entries.size());
+  for (Entry& e : entries) {
+    set.push_back(std::move(e.s));
+    minimal.push_back(e.minimal);
+  }
+  return minimal;
 }
 
 /// The per-dimension slacks of one ComputeMfs call, read once.
@@ -48,9 +86,12 @@ bool PruneRegion(const MsriSolution& dominator, MsriSolution& victim,
   IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, delay_eps);
   // An empty arr region empties the intersection; skip the diam sweep.
   if (region.Empty()) return false;
+  // Clipping the region to the victim's valid set leaves the difference
+  // below unchanged and makes "non-empty" mean "valid shrinks".
   region = region.Intersect(dominator.diam.RegionLessEqual(victim.diam,
                                                            delay_eps))
-               .Intersect(dominator.valid);
+               .Intersect(dominator.valid)
+               .Intersect(victim.valid);
   if (region.Empty()) return false;
   victim.valid = victim.valid.Subtract(region);
   if (!victim.valid.Empty()) {
@@ -61,31 +102,48 @@ bool PruneRegion(const MsriSolution& dominator, MsriSolution& victim,
 }
 
 /// The pruning state of one ComputeMfs call over a (cost, cap)-sorted set:
-/// a scalar row per entry, a live mask, and the call's counters.  Pruning
-/// clears live bits only; Compact drops the dead entries at the end, so
-/// the divide-and-conquer recursion works on index ranges of one array.
+/// a scalar row and an "already minimal" bit per entry, a live mask, and
+/// the call's counters.  Pruning clears live bits only; Compact drops the
+/// dead entries at the end, so the divide-and-conquer recursion works on
+/// index ranges of one array.
 ///
 /// Every live entry has a non-empty valid region (ComputeMfs drops empty
 /// ones up front and an entry dies as soon as its region empties), so a
 /// pair rejected by MayDominate is exactly a pair PruneByDominance would
 /// reject without side effects; only the survivors dereference their
 /// solutions.
+///
+/// A pair of two minimal entries is exempt (the others are fresh): it is
+/// never tested nor counted.  Both came out of one earlier ComputeMfs call
+/// with these options, which ran both of its tests, ruled them out on the
+/// scalars or (by this same argument) exempted them.  Valid regions have
+/// only shrunk since, so today's dominance region lies inside the one
+/// already subtracted from the victim, and subtracting it again would
+/// return the same intervals.
 class Pruner {
  public:
-  Pruner(SolutionSet& set, const MfsOptions& options, MfsStats& stats)
+  Pruner(SolutionSet& set, std::vector<std::uint8_t> minimal,
+         const MfsOptions& options, MfsStats& stats)
       : set_(set),
         base_case_(options.base_case),
         slack_(options),
         stats_(stats),
+        minimal_(std::move(minimal)),
         live_(set.size(), 1) {
     rows_.reserve(set.size());
-    for (const SolutionPtr& s : set) rows_.push_back(MfsRow::Of(*s));
+    fresh_before_.reserve(set.size() + 1);
+    fresh_before_.push_back(0);
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      rows_.push_back(MfsRow::Of(*set[i]));
+      fresh_before_.push_back(fresh_before_.back() + (minimal_[i] ? 0 : 1));
+    }
   }
 
   /// Fig. 4: split, recurse, cross-prune the survivors.  Every entry of
   /// [begin, end) is still live on entry, so the split sizes match a
   /// recursion over compacted copies.
   void Recurse(std::size_t begin, std::size_t end) {
+    if (AllMinimal(begin, end)) return;
     if (end - begin <= base_case_) {
       Pairwise(begin, end);
       return;
@@ -103,25 +161,27 @@ class Pruner {
   /// skip is decided from the sort invariant, not from the comparison
   /// itself).
   void Pairwise(std::size_t begin, std::size_t end) {
+    if (AllMinimal(begin, end)) return;
     std::size_t lo = begin;  // first j that row i could possibly prune
-    // Live entries below lo: the tests the unsorted all-pairs loop would
-    // have run and lost on the cost check.  No row prunes below its lo,
-    // so an entry's bit is final once lo has passed it.
+    // Live entries below lo, and the fresh ones among them: the tests the
+    // unsorted all-pairs loop would have run and lost on the cost check.
+    // No row prunes below its lo, so an entry's bit is final once lo has
+    // passed it.
     std::size_t live_below = 0;
+    std::size_t fresh_below = 0;
     for (std::size_t i = begin; i < end; ++i) {
       while (lo < end && rows_[lo].cost < rows_[i].cost - slack_.cost) {
         live_below += live_[lo];
+        if (live_[lo] && !minimal_[lo]) ++fresh_below;
         ++lo;
       }
       if (!live_[i]) continue;
-      stats_.predictive_skipped += live_below;
+      const bool mi = minimal_[i];
+      stats_.predictive_skipped += mi ? fresh_below : live_below;
       for (std::size_t j = lo; j < end; ++j) {
-        if (i == j || !live_[j]) continue;
+        if (i == j || !live_[j] || (mi && minimal_[j])) continue;
         ++stats_.comparisons;
-        if (Prunes(i, j)) {
-          ++stats_.pruned;
-          live_[j] = 0;
-        }
+        if (Prunes(i, j)) Kill(j);
       }
     }
   }
@@ -135,10 +195,11 @@ class Pruner {
   /// the forward test (l, r) can prune, and such a test writes only its
   /// victim r and reads only l, which nothing changes after its band: the
   /// tests commute.  They are therefore run in cap order within l's
-  /// parity, stopping at the first victim whose cap rules l out.  The
-  /// pairs never enumerated fail MayDominate's parity or cap conjunct
-  /// without side effects; they are added to the counters in bulk, so
-  /// every count equals that of the all-pairs index-order loop.
+  /// parity, stopping at the first victim whose cap rules l out; a
+  /// minimal l walks the fresh victims only.  The pairs never enumerated
+  /// fail MayDominate's parity or cap conjunct without side effects; they
+  /// are added to the counters in bulk, so every count equals that of the
+  /// all-pairs index-order loop over the non-exempt pairs.
   void Cross(std::size_t begin, std::size_t mid, std::size_t end) {
     by_cap_.clear();
     for (std::size_t r = mid; r < end; ++r) {
@@ -151,53 +212,61 @@ class Pruner {
                 }
                 return rows_[a].cap > rows_[b].cap;
               });
+    fresh_by_cap_.clear();
+    for (const std::size_t r : by_cap_) {
+      if (!minimal_[r]) fresh_by_cap_.push_back(r);
+    }
     std::size_t live_right = by_cap_.size();
+    std::size_t fresh_right = fresh_by_cap_.size();
+    auto kill_right = [&](std::size_t r) {
+      Kill(r);
+      --live_right;
+      if (!minimal_[r]) --fresh_right;
+    };
     std::size_t band_end = mid;  // non-decreasing in l, as cost[l] is
     for (std::size_t l = begin; l < mid; ++l) {
       if (!live_[l]) continue;
       const MfsRow& dl = rows_[l];
+      const bool ml = minimal_[l];
       while (band_end < end &&
              !(rows_[band_end].cost > dl.cost + slack_.cost)) {
         ++band_end;
       }
-      std::size_t live_band = 0;
+      std::size_t live_band = 0;  // non-exempt survivors of the band
       for (std::size_t r = mid; r < band_end; ++r) {
-        if (!live_[r]) continue;  // already pruned; later slots may be live
+        // Pruned slots may precede live ones; exempt pairs are skipped.
+        if (!live_[r] || (ml && minimal_[r])) continue;
         ++stats_.comparisons;
         if (Prunes(l, r)) {
-          ++stats_.pruned;
-          live_[r] = 0;
-          --live_right;
+          kill_right(r);
           continue;
         }
         ++live_band;
         ++stats_.comparisons;
         if (Prunes(r, l)) {
-          ++stats_.pruned;
-          live_[l] = 0;
+          Kill(l);
           break;  // l is gone; its row is done
         }
       }
       if (!live_[l]) continue;
 
-      // Beyond the band: one forward test per live victim, each reverse
-      // test decided by the sort invariant (predictive skip) unless the
-      // forward test pruned the victim.
-      const std::size_t beyond = live_right - live_band;
+      // Beyond the band: one forward test per live non-exempt victim, each
+      // reverse test decided by the sort invariant (predictive skip)
+      // unless the forward test pruned the victim.
+      const std::vector<std::size_t>& victims = ml ? fresh_by_cap_ : by_cap_;
+      const std::size_t beyond = (ml ? fresh_right : live_right) - live_band;
       stats_.comparisons += beyond;
       std::size_t pruned_beyond = 0;
       auto it = std::partition_point(
-          by_cap_.begin(), by_cap_.end(),
+          victims.begin(), victims.end(),
           [&](std::size_t r) { return rows_[r].parity < dl.parity; });
-      for (; it != by_cap_.end() && rows_[*it].parity == dl.parity &&
+      for (; it != victims.end() && rows_[*it].parity == dl.parity &&
              dl.cap <= rows_[*it].cap + slack_.cap;
            ++it) {
         const std::size_t r = *it;
         if (r < band_end || !live_[r]) continue;
         if (Prunes(l, r)) {
-          ++stats_.pruned;
-          live_[r] = 0;
-          --live_right;
+          kill_right(r);
           ++pruned_beyond;
         }
       }
@@ -215,9 +284,19 @@ class Pruner {
   }
 
  private:
+  /// True when every pair inside [begin, end) is exempt.
+  bool AllMinimal(std::size_t begin, std::size_t end) const {
+    return fresh_before_[end] == fresh_before_[begin];
+  }
+
   bool Prunes(std::size_t d, std::size_t v) {
     return MayDominate(rows_[d], rows_[v], slack_) &&
            PruneRegion(*set_[d], *set_[v], slack_.delay, &stats_);
+  }
+
+  void Kill(std::size_t i) {
+    ++stats_.pruned;
+    live_[i] = 0;
   }
 
   SolutionSet& set_;
@@ -225,8 +304,13 @@ class Pruner {
   const Slack slack_;
   MfsStats& stats_;
   std::vector<MfsRow> rows_;
+  const std::vector<std::uint8_t> minimal_;
+  std::vector<std::size_t> fresh_before_;  // fresh entries in [0, i)
   std::vector<std::uint8_t> live_;
-  std::vector<std::size_t> by_cap_;  // Cross scratch: by (parity, -cap)
+  // Cross scratch: live right entries by (parity, -cap), and the fresh
+  // ones among them in the same order.
+  std::vector<std::size_t> by_cap_;
+  std::vector<std::size_t> fresh_by_cap_;
 };
 
 }  // namespace
@@ -259,25 +343,26 @@ bool PruneByDominance(const MsriSolution& dominator, MsriSolution& victim,
 }
 
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats) {
+                       MfsStats* stats, std::size_t minimal_prefix) {
   MfsStats call;
   call.calls = 1;
   call.candidates_in = set.size();
 
-  std::erase_if(set,
-                [](const SolutionPtr& s) { return !s || s->valid.Empty(); });
   // Sorting by (cost, cap) first puts likely dominators early, making
   // the divide-and-conquer discard suboptimal solutions deep in the
   // recursion (the paper's Section V implementation note).
-  SortByCostCap(set);
+  std::vector<std::uint8_t> minimal = FilterAndSort(set, minimal_prefix);
   if (options.mode != MfsOptions::Mode::kOff && set.size() >= 2) {
-    Pruner pruner(set, options, call);
+    Pruner pruner(set, std::move(minimal), options, call);
     if (options.mode == MfsOptions::Mode::kQuadratic) {
       pruner.Pairwise(0, set.size());
     } else {
       pruner.Recurse(0, set.size());
     }
     pruner.Compact();
+    // Re-sorted even when every pair was exempt: std::sort is not stable,
+    // and callers see the order of tied entries (it reaches the
+    // materialized assignments).
     SortByCostCap(set);
   }
   call.candidates_out = set.size();

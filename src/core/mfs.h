@@ -63,10 +63,12 @@ struct MfsStats {
   std::size_t calls = 0;           ///< ComputeMfs invocations.
   std::size_t candidates_in = 0;   ///< Solutions entering the pruner.
   std::size_t candidates_out = 0;  ///< Survivors after pruning.
-  /// Pairwise dominance tests of the index-order Fig. 4 schedule.  The
+  /// Pairwise dominance tests of the index-order Fig. 4 schedule, over
+  /// the pairs not exempt by the already-minimal prefix (a pair of two
+  /// prefix entries is neither tested nor counted).  The
   /// divide-and-conquer cross step does not enumerate the tests its
   /// (parity, cap) order proves fail without side effects; it counts them
-  /// in bulk, so this equals the count of enumerating every pair.
+  /// in bulk, so this equals the count of enumerating every such pair.
   std::size_t comparisons = 0;
   /// Dominance tests decided by the (cost, cap) sort invariant alone —
   /// the would-be dominator out-costs the victim beyond eps — and
@@ -81,8 +83,10 @@ struct MfsStats {
   /// test is one of the counted comparisons.
   std::size_t region_tests = 0;
   std::size_t pruned = 0;       ///< Solutions fully invalidated.
-  std::size_t pruned_partial = 0;  ///< Partial-domain prunes (valid shrank
-                                   ///< without emptying).
+  /// Tests that shrank the victim's valid region without emptying it (a
+  /// dominance region that misses the victim's valid region counts
+  /// nowhere).
+  std::size_t pruned_partial = 0;
 
   /// Field-wise sum; every field is a count, so accumulation is
   /// order-insensitive.
@@ -93,8 +97,15 @@ struct MfsStats {
 /// Solutions whose valid region empties are removed; others may come back
 /// with a reduced `valid`.  Order of survivors: sorted by (cost, cap).
 /// The call's counts are added into `stats` when given.
+///
+/// The first `minimal_prefix` entries must be the unchanged output of an
+/// earlier ComputeMfs call with the same options (in any order).  No two
+/// of them can prune each other again, so their pairs are never tested:
+/// the result is identical to that of `minimal_prefix = 0`, survivors,
+/// order and valid regions alike, at a fraction of the tests.
 SolutionSet ComputeMfs(SolutionSet set, const MfsOptions& options,
-                       MfsStats* stats = nullptr);
+                       MfsStats* stats = nullptr,
+                       std::size_t minimal_prefix = 0);
 
 /// The scalar coordinates of a solution that the dominance test compares
 /// before it touches any PWL: parity, cost, cap, the two stage lengths and

@@ -64,9 +64,12 @@ struct Context {
 
   /// MFS pruning (Def. 4.3) as a phase of its own: the `mfs.time` timer,
   /// an `mfs` span, and the call's counts into this context's MsriStats.
-  SolutionSet Mfs(SolutionSet set) {
+  /// The first `minimal_prefix` entries are an earlier Mfs output, whose
+  /// pairs need no retest (ComputeMfs).
+  SolutionSet Mfs(SolutionSet set, std::size_t minimal_prefix = 0) {
     const auto phase = Phase(&obs::StatsSink::mfs_time, "mfs");
-    return ComputeMfs(std::move(set), options.mfs, &stats->mfs);
+    return ComputeMfs(std::move(set), options.mfs, &stats->mfs,
+                      minimal_prefix);
   }
 };
 
@@ -175,17 +178,20 @@ SolutionSet Augment(Context& ctx, NodeId v, const SolutionSet& below) {
   return out;
 }
 
-/// Fig. 7: merge the solution sets of two sibling subtrees at a branch.
-/// The raw product can dwarf its own Pareto frontier (wire sizing
-/// especially), so the product is pruned in bounded chunks instead of
-/// being materialized whole — early pruning is sound (dominance is
-/// monotone) and keeps peak memory proportional to the survivors.
+/// Fig. 7: merge the solution sets of two sibling subtrees at a branch,
+/// and prune the result.  The raw product can dwarf its own Pareto
+/// frontier (wire sizing especially), so the product is pruned in bounded
+/// chunks instead of being materialized whole — early pruning is sound
+/// (dominance is monotone) and keeps peak memory proportional to the
+/// survivors.  Each prune passes the previous one's survivors on as an
+/// already-minimal prefix, so no pair of them is tested twice.
 SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
                      const SolutionSet& s2set) {
   const auto phase = ctx.Phase(&obs::StatsSink::msri_join, "msri.join");
   std::size_t prune_at =
       std::max<std::size_t>(4096, 4 * (s1set.size() + s2set.size()));
   SolutionSet out;
+  std::size_t minimal = 0;  // out[0, minimal) is the last prune's output
   for (const SolutionPtr& s1 : s1set) {
     // The merge is the DP's quadratic kernel, so this is the check that
     // bounds cancellation latency on big nets (one s2 sweep at most).
@@ -271,14 +277,15 @@ SolutionSet JoinSets(Context& ctx, NodeId v, const SolutionSet& s1set,
       j->pred2 = s2;
       out.push_back(std::move(j));
       if (out.size() >= prune_at) {
-        out = ctx.Mfs(std::move(out));
+        out = ctx.Mfs(std::move(out), minimal);
+        minimal = out.size();
         // Double the threshold relative to the survivors so a poorly
         // pruning set cannot trigger quadratic re-pruning.
         prune_at = std::max(prune_at, 2 * out.size());
       }
     }
   }
-  return out;
+  return ctx.Mfs(std::move(out), minimal);
 }
 
 /// Fig. 8: at insertion point `v`, optionally cap each unbuffered solution
@@ -329,8 +336,8 @@ SolutionSet RepeaterSolutions(Context& ctx, NodeId v, SolutionSet set) {
   return set;
 }
 
-/// Joined solutions of all children of `v`, each child set augmented
-/// through its parent edge.  `Solve` is the recursive driver.
+/// Joined and pruned solutions of all children of `v`, each child set
+/// augmented through its parent edge.  `Solve` is the recursive driver.
 SolutionSet Solve(Context& ctx, NodeId v);
 
 /// Per-child unit shared by the serial fold and the parallel fan-out:
@@ -391,7 +398,7 @@ SolutionSet CombineChildren(Context& ctx, NodeId v) {
     // The sequential fold, identical to the serial path below.
     SolutionSet acc = std::move(sets[0]);
     for (std::size_t i = 1; i < sets.size(); ++i) {
-      acc = ctx.Mfs(JoinSets(ctx, v, acc, sets[i]));
+      acc = JoinSets(ctx, v, acc, sets[i]);
     }
     return acc;
   }
@@ -404,7 +411,7 @@ SolutionSet CombineChildren(Context& ctx, NodeId v) {
       acc = std::move(augmented);
       first = false;
     } else {
-      acc = ctx.Mfs(JoinSets(ctx, v, acc, augmented));
+      acc = JoinSets(ctx, v, acc, augmented);
     }
   }
   return acc;
@@ -414,17 +421,23 @@ SolutionSet Solve(Context& ctx, NodeId v) {
   ctx.options.cancel.Check();
   const RcNode& node = ctx.tree.Node(v);
   SolutionSet set;
+  // CombineChildren's output is already pruned and RepeaterSolutions only
+  // appends, so this prune tests just the pairs with a buffered solution
+  // in them (none at a Steiner node or without repeater insertion, where
+  // it only re-sorts).
+  std::size_t minimal = 0;
   if (ctx.rooted.IsLeaf(v)) {
     MSN_CHECK_MSG(node.kind == NodeKind::kTerminal,
                   "non-terminal leaf node " << v << " in MSRI traversal");
     set = LeafSolutions(ctx, v);
   } else {
     set = CombineChildren(ctx, v);
+    minimal = set.size();
     if (node.kind == NodeKind::kInsertion) {
       set = RepeaterSolutions(ctx, v, std::move(set));
     }
   }
-  set = ctx.Mfs(std::move(set));
+  set = ctx.Mfs(std::move(set), minimal);
   ctx.Record(set);
   if (ctx.options.set_observer) ctx.options.set_observer(v, set);
   return set;

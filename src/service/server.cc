@@ -272,6 +272,8 @@ std::string Server::RunOptimize(const JsonValue& request,
     std::optional<MsriSummary> summary;
     bool ran_dp = false;
     for (;;) {
+      const std::uint64_t done_before =
+          inflight_done_.load(std::memory_order_acquire);
       {
         const obs::ScopedSpan lookup_span(trace, "cache.lookup");
         summary = cache_.Lookup(canon);
@@ -299,6 +301,11 @@ std::string Server::RunOptimize(const JsonValue& request,
           }
           lock.unlock();
           rctx.cancel.Check();
+          continue;
+        }
+        // An identical request may have finished between the lookup and
+        // this lock (its insert precedes its erase): look again.
+        if (inflight_done_.load(std::memory_order_relaxed) != done_before) {
           continue;
         }
         // This thread will run the DP.  Shed first: once the cost model
@@ -357,6 +364,7 @@ std::string Server::RunOptimize(const JsonValue& request,
       {
         const std::lock_guard<std::mutex> lock(inflight_mu_);
         inflight_.erase(key);
+        inflight_done_.fetch_add(1, std::memory_order_release);
         inflight_cv_.notify_all();
       }
       break;
@@ -775,12 +783,26 @@ int Server::ServeTcp(std::uint16_t port, std::ostream& log) {
 }
 
 void Server::WriteStatsJson(std::ostream& os) const {
+  static constexpr const char* kClassNames[kNumLatencyClasses] = {
+      "hit", "miss", "cancelled", "shed", "error"};
   obs::RunStats registry;
   RequestCounters counters;
+  std::ostringstream latency;
   {
+    // The latency classes are read in the same critical section as the
+    // counters they mirror: a request bumps its counter before it records
+    // its latency, so one snapshot never shows a class above its counter.
+    // The quantiles are evaluated at one shared `now`, so the classes are
+    // mutually consistent.
+    const auto now = std::chrono::steady_clock::now();
     const std::lock_guard<std::mutex> lock(stats_mu_);
     registry.MergeFrom(aggregate_);
     counters = counters_;
+    for (std::size_t i = 0; i < kNumLatencyClasses; ++i) {
+      if (i > 0) latency << ',';
+      latency << '"' << kClassNames[i] << "\":";
+      latency_[i].WriteJson(latency, now);
+    }
   }
   cache_.ExportStats(&registry);
   const CacheStats cache = cache_.Snapshot();
@@ -812,22 +834,8 @@ void Server::WriteStatsJson(std::ostream& os) const {
      << ",\"shed_cost\":" << counters.shed_cost
      << ",\"shed_connections\":" << counters.shed_connections
      << ",\"cancelled\":" << counters.cancelled
-     << ",\"dp_runs\":" << counters.dp_runs << "},\"latency\":{";
-  {
-    // Snapshot quantiles under the same mutex the recorders use; the
-    // window is evaluated at one shared `now` so classes are mutually
-    // consistent.
-    static constexpr const char* kClassNames[kNumLatencyClasses] = {
-        "hit", "miss", "cancelled", "shed", "error"};
-    const auto now = std::chrono::steady_clock::now();
-    const std::lock_guard<std::mutex> lock(stats_mu_);
-    for (std::size_t i = 0; i < kNumLatencyClasses; ++i) {
-      if (i > 0) os << ',';
-      os << '"' << kClassNames[i] << "\":";
-      latency_[i].WriteJson(os, now);
-    }
-  }
-  os << "},\"registry\":" << registry.JsonString() << '}';
+     << ",\"dp_runs\":" << counters.dp_runs << "},\"latency\":{"
+     << latency.str() << "},\"registry\":" << registry.JsonString() << '}';
 }
 
 }  // namespace msn::service

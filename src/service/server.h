@@ -296,6 +296,11 @@ class Server {
   std::mutex inflight_mu_;
   std::condition_variable inflight_cv_;
   std::set<std::pair<std::uint64_t, std::uint64_t>> inflight_;
+  /// DP runs whose result is in the cache and whose key has left
+  /// `inflight_`; bumped under `inflight_mu_` after the insert.  A miss
+  /// that finds its key not in flight claims the DP only if no run
+  /// finished since its lookup (else that run's insert may be its hit).
+  std::atomic<std::uint64_t> inflight_done_{0};
 };
 
 }  // namespace msn::service

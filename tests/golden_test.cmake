@@ -28,6 +28,11 @@ set(GOLDEN
   "12 1 repeaters 7f1ac2828802c5f28dc083f2ffc2c659cc8836ce70377539123a529dfb7ccdb8"
   "12 1 sizing 178aff447bb57f94b30d7550057312b8b7ceb8407e91b37e89b6cd2c38471b47"
   "12 1 joint 23cbe69339554032a31deabb5474bf64036f28a4c0a12c3afb5c86041d0d549f"
+  # A 20-pin net whose repeater-mode joins grow past JoinSets' 4096-entry
+  # threshold, so the chunked join prune runs (twice) and hands its
+  # survivors on as an already-minimal prefix.
+  "20 3 repeaters 51e752fa5d27662e1d0e4e46529bf5f8bc502908fce6faa80b2a342cf9b1de02"
+  "20 3 sizing 43d3500a7a338ba64788e9d7b72bfc15b9f49072dfe62e8c5726e9960be7f4f0"
 )
 
 function(run_cli out_var)

@@ -126,6 +126,29 @@ TEST(Mfs, DiamDimensionBlocksPruning) {
   EXPECT_TRUE(v->valid.Contains(4.0));
 }
 
+TEST(Mfs, RegionMissingVictimValidIsNoPartialPrune) {
+  // The dominator is no worse only for x >= 5 (10 <= 2x), but the victim
+  // is valid on [0, 2) alone: the region is non-empty, yet nothing shrinks
+  // and nothing may be counted.
+  const SolutionPtr dom =
+      Make(1.0, 1.0, 0.0, Pwl::Constant(10.0), Pwl::NegInf());
+  const SolutionPtr victim =
+      Make(1.0, 1.0, 0.0, Pwl::Line(0.0, 2.0), Pwl::NegInf());
+  victim->valid = IntervalSet(0.0, 2.0);
+  MfsStats stats;
+  EXPECT_FALSE(PruneByDominance(*dom, *victim, MfsOptions(), &stats));
+  EXPECT_EQ(victim->valid, IntervalSet(0.0, 2.0));
+  EXPECT_EQ(stats.region_tests, 1u);
+  EXPECT_EQ(stats.pruned_partial, 0u);
+
+  // Once the victim's valid reaches into the region, it is a partial prune.
+  victim->valid = IntervalSet(0.0, 8.0);
+  EXPECT_FALSE(PruneByDominance(*dom, *victim, MfsOptions(), &stats));
+  EXPECT_FALSE(victim->valid.Contains(6.0));
+  EXPECT_TRUE(victim->valid.Contains(1.0));
+  EXPECT_EQ(stats.pruned_partial, 1u);
+}
+
 TEST(Mfs, CrossPruneSkipsNulledSlotsRegression) {
   // Regression for the divide-and-conquer cross-prune early-exit: with
   // base_case = 2 the set {c1/p5, c2/p1, c3/p6, c4/p2} (cost/cap, all
@@ -629,12 +652,111 @@ TEST(MfsSchedule, DivideConquerMatchesIndexOrderReference) {
   EXPECT_GT(total.region_tests, 10000u);
 }
 
+/// The options the already-minimal prefix must be exact under: the exact
+/// and the approximate slacks, a deep recursion, and all-pairs pruning.
+std::vector<MfsOptions> PrefixOptions() {
+  MfsOptions deep;
+  deep.base_case = 2;
+  MfsOptions quadratic = Quadratic();
+  return {MfsOptions(), MfsOptions::Approximate(), deep, quadratic};
+}
+
+/// An already-minimal prefix changes the schedule, never the result: with
+/// A = ComputeMfs(A0), pruning A ++ B with |A| exempt must return the
+/// survivors, order and valid regions of pruning it with prefix 0, and
+/// make the same prunes, full and partial, with no more tests.  A is
+/// shuffled first, as the prefix may come in any order.
+TEST(MfsPrefix, MinimalPrefixMatchesFullPrune) {
+  Rng rng(20261019);
+  std::size_t saved = 0;
+  MfsStats total;
+  for (const MfsOptions& options : PrefixOptions()) {
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " cost_eps " << options.CostEps()
+                   << " base_case " << options.base_case << " mode "
+                   << static_cast<int>(options.mode));
+      SolutionSet a = ComputeMfs(
+          RandomScheduleSet(
+              rng, options, static_cast<std::size_t>(rng.UniformInt(0, 120))),
+          options);
+      std::shuffle(a.begin(), a.end(), rng.Engine());
+      const SolutionSet b = RandomScheduleSet(
+          rng, options, static_cast<std::size_t>(rng.UniformInt(0, 80)));
+      SolutionSet input = a;
+      input.insert(input.end(), b.begin(), b.end());
+      const SolutionSet copy = DeepCopy(input);
+
+      MfsStats got;
+      const SolutionSet out = ComputeMfs(input, options, &got, a.size());
+      MfsStats want;
+      const SolutionSet ref = ComputeMfs(copy, options, &want);
+
+      ASSERT_EQ(Positions(input, out), Positions(copy, ref));
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        EXPECT_EQ(out[i]->valid, ref[i]->valid) << "survivor " << i;
+      }
+      EXPECT_EQ(got.candidates_in, want.candidates_in);
+      EXPECT_EQ(got.candidates_out, want.candidates_out);
+      EXPECT_EQ(got.pruned, want.pruned);
+      EXPECT_EQ(got.pruned_partial, want.pruned_partial);
+      EXPECT_LE(got.comparisons, want.comparisons);
+      EXPECT_LE(got.predictive_skipped, got.comparisons);
+      EXPECT_LE(got.region_tests, want.region_tests);
+      saved += want.comparisons - got.comparisons;
+      total += got;
+    }
+  }
+  // The sets must exercise real pruning, and the prefix must save tests.
+  EXPECT_GT(total.pruned, 1000u);
+  EXPECT_GT(total.pruned_partial, 1000u);
+  EXPECT_GT(saved, 10000u);
+}
+
+/// The lemma the prefix rests on: pruning an MFS output again, with no
+/// exemption, shrinks no valid region and removes nothing.
+TEST(MfsPrefix, RepruningAnMfsOutputIsANoOp) {
+  Rng rng(20261020);
+  MfsStats again;
+  for (const MfsOptions& options : PrefixOptions()) {
+    for (int trial = 0; trial < 60; ++trial) {
+      SCOPED_TRACE(::testing::Message()
+                   << "trial " << trial << " cost_eps " << options.CostEps()
+                   << " base_case " << options.base_case << " mode "
+                   << static_cast<int>(options.mode));
+      const SolutionSet once = ComputeMfs(
+          RandomScheduleSet(
+              rng, options, static_cast<std::size_t>(rng.UniformInt(2, 160))),
+          options);
+      std::vector<IntervalSet> valid;
+      for (const SolutionPtr& s : once) valid.push_back(s->valid);
+
+      MfsStats stats;
+      const SolutionSet twice = ComputeMfs(once, options, &stats);
+      EXPECT_EQ(stats.pruned, 0u);
+      EXPECT_EQ(stats.pruned_partial, 0u);
+      ASSERT_EQ(twice.size(), once.size());
+      for (std::size_t i = 0; i < once.size(); ++i) {
+        EXPECT_EQ(once[i]->valid, valid[i]) << "survivor " << i;
+      }
+      again += stats;
+    }
+  }
+  // The second pass does run tests, so the zero prune counts mean much.
+  EXPECT_GT(again.region_tests, 10000u);
+}
+
 /// Counter regression: MFS on fixed 10-pin nets must perform exactly the
 /// dominance tests, predictive skips, region tests and prunes of the
-/// index-order Fig. 4 schedule (recorded from the pointer-chasing loop,
-/// region tests from the first columnar kernel).  Identical region tests
-/// mean the same pairs reach the PWL test; any change here means the
-/// pruning visits pairs in a different order or decides them differently.
+/// index-order Fig. 4 schedule, which exempts the pairs inside each
+/// call's already-minimal prefix (the last join prune's survivors, and
+/// the pruned children set that Solve re-prunes with the repeater
+/// solutions).  pruned_partial counts only tests that shrank a valid
+/// region.  Identical region tests mean the same pairs reach the PWL
+/// test; any change here means the pruning visits pairs in a different
+/// order or decides them differently.  pruned, candidates_in and
+/// candidates_out are the DP's own, unchanged since the pointer-chasing
+/// loop.
 TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
   struct Pinned {
     std::uint64_t seed;
@@ -651,16 +773,16 @@ TEST(MfsPinnedCounters, TenPinNetsMatchRecordedValues) {
   // Seed 4 adds a stage-length bound (both stage scalars in play); seed 5
   // uses the approximate slacks.
   const Pinned kPinned[] = {
-      {1, kDivideConquer, 301442, 184652, 24072, 5067, 10480, 7830, 2763},
-      {1, kQuadratic, 740480, 185264, 47937, 5067, 22110, 7830, 2763},
-      {2, kDivideConquer, 1214553, 860443, 34038, 2528, 8669, 8813, 6285},
-      {2, kQuadratic, 1670072, 864934, 36953, 2528, 9001, 8813, 6285},
-      {3, kDivideConquer, 594858, 394442, 37475, 2887, 13897, 6974, 4087},
-      {3, kQuadratic, 895399, 388617, 54825, 2887, 23939, 6974, 4087},
-      {4, kDivideConquer, 4610, 2847, 538, 56, 54, 603, 547},
-      {4, kQuadratic, 4687, 2829, 534, 56, 53, 603, 547},
-      {5, kDivideConquer, 965335, 698385, 26490, 2493, 2280, 9223, 6730},
-      {5, kQuadratic, 1386909, 734642, 33795, 2498, 2571, 9260, 6762},
+      {1, kDivideConquer, 195164, 105836, 21108, 5067, 5480, 7830, 2763},
+      {1, kQuadratic, 634189, 106448, 44972, 5067, 9739, 7830, 2763},
+      {2, kDivideConquer, 823754, 576916, 25814, 2528, 1421, 8813, 6285},
+      {2, kQuadratic, 1279471, 581655, 28738, 2528, 1386, 8813, 6285},
+      {3, kDivideConquer, 417405, 265399, 28254, 2887, 3402, 6974, 4087},
+      {3, kQuadratic, 718156, 259757, 45607, 2887, 7404, 6974, 4087},
+      {4, kDivideConquer, 3644, 2241, 421, 56, 11, 603, 547},
+      {4, kQuadratic, 3721, 2223, 417, 56, 10, 603, 547},
+      {5, kDivideConquer, 651485, 466575, 20499, 2493, 830, 9223, 6730},
+      {5, kQuadratic, 1069741, 500644, 27679, 2498, 1004, 9260, 6762},
   };
   const Technology tech = DefaultTechnology();
   for (const Pinned& p : kPinned) {
