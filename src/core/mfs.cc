@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/numeric.h"
+
 namespace msn {
 namespace {
 
@@ -64,6 +66,19 @@ struct Slack {
   double delay;
 };
 
+/// MayDominate's last three conjuncts: `d` is no worse, up to the slacks,
+/// than a victim with these stage lengths and sink delay.  Each conjunct
+/// compares d's value with fl(victim's + slack), and rounding is monotone,
+/// so passing against a victim implies passing against any upper bound of
+/// the victim's values: failing against block maxima fails the whole block.
+bool StagesMayDominate(const MfsRow& d, double stage_span_um,
+                       double stage_diam_um, double sink_delay,
+                       const Slack& slack) {
+  return d.stage_span_um <= stage_span_um + 1e-6 &&
+         d.stage_diam_um <= stage_diam_um + 1e-6 &&
+         d.sink_delay <= sink_delay + slack.delay;
+}
+
 /// RowMayDominate's test, with the slacks read once per call.  Parity
 /// classes are incomparable: a later inverter turns one into the feasible
 /// class and the other into the infeasible one.  The other scalars are
@@ -72,26 +87,30 @@ struct Slack {
 bool MayDominate(const MfsRow& d, const MfsRow& v, const Slack& slack) {
   return d.parity == v.parity && d.cost <= v.cost + slack.cost &&
          d.cap <= v.cap + slack.cap &&
-         d.stage_span_um <= v.stage_span_um + 1e-6 &&
-         d.stage_diam_um <= v.stage_diam_um + 1e-6 &&
-         d.sink_delay <= v.sink_delay + slack.delay;
+         StagesMayDominate(d, v.stage_span_um, v.stage_diam_um,
+                           v.sink_delay, slack);
 }
 
 /// The PWL half of PruneByDominance, for a pair whose scalars already
-/// passed MayDominate.
+/// passed MayDominate.  The dominance region is the intersection of four
+/// sets: both valid regions and the arr and diam regions.  Intersection
+/// is exact and commutative (each piece is the max of the lower and the
+/// min of the upper endpoints), so the order below builds the same
+/// intervals as any other; it starts from the cheap valid window and
+/// stops at the first empty factor, often before any PWL sweep.
 bool PruneRegion(const MsriSolution& dominator, MsriSolution& victim,
                  double delay_eps, MfsStats* stats) {
   if (dominator.valid.Empty()) return false;
   if (stats) ++stats->region_tests;
-  IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, delay_eps);
-  // An empty arr region empties the intersection; skip the diam sweep.
-  if (region.Empty()) return false;
   // Clipping the region to the victim's valid set leaves the difference
   // below unchanged and makes "non-empty" mean "valid shrinks".
-  region = region.Intersect(dominator.diam.RegionLessEqual(victim.diam,
-                                                           delay_eps))
-               .Intersect(dominator.valid)
-               .Intersect(victim.valid);
+  IntervalSet region = dominator.valid.Intersect(victim.valid);
+  if (region.Empty()) return false;
+  region = dominator.arr.RegionLessEqual(victim.arr, delay_eps)
+               .Intersect(region);
+  if (region.Empty()) return false;
+  region = region.Intersect(
+      dominator.diam.RegionLessEqual(victim.diam, delay_eps));
   if (region.Empty()) return false;
   victim.valid = victim.valid.Subtract(region);
   if (!victim.valid.Empty()) {
@@ -125,7 +144,8 @@ class Pruner {
   Pruner(SolutionSet& set, std::vector<std::uint8_t> minimal,
          const MfsOptions& options, MfsStats& stats)
       : set_(set),
-        base_case_(options.base_case),
+        // A one-entry range cannot be split: its midpoint is its start.
+        base_case_(std::max<std::size_t>(options.base_case, 1)),
         slack_(options),
         stats_(stats),
         minimal_(std::move(minimal)),
@@ -200,6 +220,11 @@ class Pruner {
   /// fail MayDominate's parity or cap conjunct without side effects; they
   /// are added to the counters in bulk, so every count equals that of the
   /// all-pairs index-order loop over the non-exempt pairs.
+  ///
+  /// The walk ends at the first victim whose cap rules l out, found by
+  /// binary search.  Within it, a block of kBlock consecutive victims whose
+  /// stage-length or sink-delay maxima l exceeds beyond the slack holds no
+  /// victim l can prune (StagesMayDominate); it is skipped unvisited.
   void Cross(std::size_t begin, std::size_t mid, std::size_t end) {
     by_cap_.clear();
     for (std::size_t r = mid; r < end; ++r) {
@@ -216,6 +241,8 @@ class Pruner {
     for (const std::size_t r : by_cap_) {
       if (!minimal_[r]) fresh_by_cap_.push_back(r);
     }
+    BuildBlocks(by_cap_, by_cap_blocks_);
+    BuildBlocks(fresh_by_cap_, fresh_blocks_);
     std::size_t live_right = by_cap_.size();
     std::size_t fresh_right = fresh_by_cap_.size();
     auto kill_right = [&](std::size_t r) {
@@ -254,20 +281,37 @@ class Pruner {
       // reverse test decided by the sort invariant (predictive skip)
       // unless the forward test pruned the victim.
       const std::vector<std::size_t>& victims = ml ? fresh_by_cap_ : by_cap_;
+      const std::vector<BlockMax>& blocks =
+          ml ? fresh_blocks_ : by_cap_blocks_;
       const std::size_t beyond = (ml ? fresh_right : live_right) - live_band;
       stats_.comparisons += beyond;
       std::size_t pruned_beyond = 0;
-      auto it = std::partition_point(
+      const auto first = std::partition_point(
           victims.begin(), victims.end(),
           [&](std::size_t r) { return rows_[r].parity < dl.parity; });
-      for (; it != victims.end() && rows_[*it].parity == dl.parity &&
-             dl.cap <= rows_[*it].cap + slack_.cap;
-           ++it) {
-        const std::size_t r = *it;
-        if (r < band_end || !live_[r]) continue;
-        if (Prunes(l, r)) {
-          kill_right(r);
-          ++pruned_beyond;
+      const auto last =
+          std::partition_point(first, victims.end(), [&](std::size_t r) {
+            return rows_[r].parity == dl.parity &&
+                   dl.cap <= rows_[r].cap + slack_.cap;
+          });
+      const auto walk_end = static_cast<std::size_t>(last - victims.begin());
+      for (auto k = static_cast<std::size_t>(first - victims.begin());
+           k < walk_end;) {
+        const BlockMax& block = blocks[k / kBlock];
+        const std::size_t block_end =
+            std::min(walk_end, (k / kBlock + 1) * kBlock);
+        if (!StagesMayDominate(dl, block.stage_span_um, block.stage_diam_um,
+                               block.sink_delay, slack_)) {
+          k = block_end;
+          continue;
+        }
+        for (; k < block_end; ++k) {
+          const std::size_t r = victims[k];
+          if (r < band_end || !live_[r]) continue;
+          if (Prunes(l, r)) {
+            kill_right(r);
+            ++pruned_beyond;
+          }
         }
       }
       stats_.predictive_skipped += beyond - pruned_beyond;
@@ -284,6 +328,28 @@ class Pruner {
   }
 
  private:
+  /// Maxima of the scalars the cap walk leaves open, over one block of
+  /// kBlock consecutive entries of a cap list.  -kInf (the identity of
+  /// max) keeps a block of -inf sink delays at -inf.
+  struct BlockMax {
+    double stage_span_um = -kInf;
+    double stage_diam_um = -kInf;
+    double sink_delay = -kInf;
+  };
+  static constexpr std::size_t kBlock = 16;
+
+  void BuildBlocks(const std::vector<std::size_t>& list,
+                   std::vector<BlockMax>& blocks) const {
+    blocks.assign((list.size() + kBlock - 1) / kBlock, BlockMax{});
+    for (std::size_t k = 0; k < list.size(); ++k) {
+      const MfsRow& row = rows_[list[k]];
+      BlockMax& block = blocks[k / kBlock];
+      block.stage_span_um = std::max(block.stage_span_um, row.stage_span_um);
+      block.stage_diam_um = std::max(block.stage_diam_um, row.stage_diam_um);
+      block.sink_delay = std::max(block.sink_delay, row.sink_delay);
+    }
+  }
+
   /// True when every pair inside [begin, end) is exempt.
   bool AllMinimal(std::size_t begin, std::size_t end) const {
     return fresh_before_[end] == fresh_before_[begin];
@@ -308,9 +374,11 @@ class Pruner {
   std::vector<std::size_t> fresh_before_;  // fresh entries in [0, i)
   std::vector<std::uint8_t> live_;
   // Cross scratch: live right entries by (parity, -cap), and the fresh
-  // ones among them in the same order.
+  // ones among them in the same order, each with its block maxima.
   std::vector<std::size_t> by_cap_;
   std::vector<std::size_t> fresh_by_cap_;
+  std::vector<BlockMax> by_cap_blocks_;
+  std::vector<BlockMax> fresh_blocks_;
 };
 
 }  // namespace

@@ -40,6 +40,7 @@ struct MfsOptions {
   double cap_eps = 0.0;    ///< pF.
   double delay_eps = 0.0;  ///< ps; applies to sink_delay, arr and diam.
   /// Divide-and-conquer recursion switches to all-pairs below this size.
+  /// Values below 1 act as 1.
   std::size_t base_case = 8;
 
   double CostEps() const { return cost_eps > 0.0 ? cost_eps : eps; }
@@ -78,9 +79,12 @@ struct MfsStats {
   /// ever be skipped.
   std::size_t predictive_skipped = 0;
   /// Dominance tests that passed the scalar prefilter and reached the
-  /// PWL region computation.  pruned + pruned_partial <= region_tests <=
-  /// comparisons: every prune needs a non-empty region, and every region
-  /// test is one of the counted comparisons.
+  /// region computation.  It intersects the two valid sets first and
+  /// stops at the first empty factor, so some region tests end before any
+  /// PWL sweep and others after the arr sweep alone.  pruned +
+  /// pruned_partial <= region_tests <= comparisons: every prune needs a
+  /// non-empty region, and every region test is one of the counted
+  /// comparisons.
   std::size_t region_tests = 0;
   std::size_t pruned = 0;       ///< Solutions fully invalidated.
   /// Tests that shrank the victim's valid region without emptying it (a

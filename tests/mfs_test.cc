@@ -149,6 +149,105 @@ TEST(Mfs, RegionMissingVictimValidIsNoPartialPrune) {
   EXPECT_EQ(stats.pruned_partial, 1u);
 }
 
+/// The dominance test with its region built arr first: both PWL sweeps,
+/// then the two valid sets.  A reference for PruneByDominance, which
+/// starts from the valid window; intersection does not depend on order,
+/// so the two must agree in result, region and counters.
+bool ArrFirstPruneByDominance(const MsriSolution& dominator,
+                              MsriSolution& victim, const MfsOptions& options,
+                              MfsStats& stats) {
+  if (victim.valid.Empty()) return true;
+  if (!RowMayDominate(MfsRow::Of(dominator), MfsRow::Of(victim), options)) {
+    return false;
+  }
+  if (dominator.valid.Empty()) return false;
+  ++stats.region_tests;
+  const double eps = options.DelayEps();
+  IntervalSet region = dominator.arr.RegionLessEqual(victim.arr, eps);
+  if (region.Empty()) return false;
+  region = region.Intersect(dominator.diam.RegionLessEqual(victim.diam, eps))
+               .Intersect(dominator.valid)
+               .Intersect(victim.valid);
+  if (region.Empty()) return false;
+  victim.valid = victim.valid.Subtract(region);
+  if (!victim.valid.Empty()) {
+    ++stats.pruned_partial;
+    return false;
+  }
+  return true;
+}
+
+/// The valid-window-first region test decides every pair as the arr-first
+/// order did.  Pairs share their scalars, so nearly all reach the region
+/// test; valid sets of one to four intervals (past IntervalSet::kInline),
+/// often disjoint, and bottom arr or diam curves cover every early exit.
+TEST(MfsRegion, WindowFirstMatchesArrFirstOrder) {
+  Rng rng(20261021);
+  auto pick = [&rng](std::initializer_list<double> values) {
+    const auto k = rng.UniformInt(0, static_cast<int>(values.size()) - 1);
+    return *(values.begin() + k);
+  };
+  auto random_valid = [&] {
+    std::vector<Interval> pieces;
+    const auto count = rng.UniformInt(1, 4);
+    for (int k = 0; k < count; ++k) {
+      const double lo = pick({0.0, 0.5, 1.0, 2.0, 3.0, 5.0, 8.0});
+      pieces.push_back({lo, lo + pick({0.25, 0.5, 1.0, 4.0, kInf})});
+    }
+    return IntervalSet(pieces);
+  };
+  auto random_pwl = [&](double bottom_chance) {
+    if (rng.Chance(bottom_chance)) return Pwl::NegInf();
+    Pwl f = Pwl::Line(pick({0.0, 10.0, 20.0, 40.0}), pick({0.0, 2.0, 5.0}));
+    if (rng.Chance(0.4)) {
+      f = Pwl::Max(f, Pwl::Line(pick({5.0, 15.0, 30.0}),
+                                pick({4.0, 10.0, 20.0})));
+    }
+    return f;
+  };
+  auto random_solution = [&] {
+    SolutionPtr s = Make(1.0, 1.0, pick({-kInf, 10.0}), random_pwl(0.15),
+                         random_pwl(0.3));
+    s->valid = random_valid();
+    return s;
+  };
+  const MfsOptions options;
+  MfsStats got;
+  MfsStats want;
+  std::size_t disjoint = 0;
+  std::size_t spilled = 0;
+  std::size_t bottom = 0;
+  std::size_t full = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const SolutionPtr d = random_solution();
+    const SolutionPtr v = random_solution();
+    MsriSolution v_ref = *v;
+    if (d->valid.Intersect(v->valid).Empty()) ++disjoint;
+    if (d->valid.Size() > IntervalSet::kInline ||
+        v->valid.Size() > IntervalSet::kInline) {
+      ++spilled;
+    }
+    if (d->arr.IsNegInf() || v->arr.IsNegInf() || d->diam.IsNegInf() ||
+        v->diam.IsNegInf()) {
+      ++bottom;
+    }
+    const bool pruned = PruneByDominance(*d, *v, options, &got);
+    ASSERT_EQ(pruned, ArrFirstPruneByDominance(*d, v_ref, options, want))
+        << "trial " << trial;
+    ASSERT_EQ(v->valid, v_ref.valid) << "trial " << trial;
+    ASSERT_EQ(got.region_tests, want.region_tests) << "trial " << trial;
+    ASSERT_EQ(got.pruned_partial, want.pruned_partial) << "trial " << trial;
+    if (pruned) ++full;
+  }
+  // Every outcome must be well represented for the match to mean much.
+  EXPECT_GT(disjoint, 2000u);
+  EXPECT_GT(spilled, 2000u);
+  EXPECT_GT(bottom, 2000u);
+  EXPECT_GT(full, 500u);
+  EXPECT_GT(got.pruned_partial, 500u);
+  EXPECT_GT(got.region_tests, 10000u);
+}
+
 TEST(Mfs, CrossPruneSkipsNulledSlotsRegression) {
   // Regression for the divide-and-conquer cross-prune early-exit: with
   // base_case = 2 the set {c1/p5, c2/p1, c3/p6, c4/p2} (cost/cap, all
@@ -520,7 +619,11 @@ SolutionSet ReferenceMfs(SolutionSet set, const MfsOptions& options,
 /// coarse grid (ties) plus offsets of half, exactly and just beyond the
 /// cost slack (multi-entry cost bands and their edges), caps from a few
 /// values with the same offsets around the cap slack, both parities, and
-/// a few PWL shapes so that partial prunes are common.
+/// a few PWL shapes so that partial prunes are common.  Some arrivals are
+/// bottom, and a per-set share of the sink delays is -inf (none, some or
+/// most), so that whole blocks of a cap walk can have a -inf maximum; in
+/// half of the sets the sink delay follows the cap value, so that blocks
+/// of neighbouring caps share a delay level a dominator may exceed.
 SolutionSet RandomScheduleSet(Rng& rng, const MfsOptions& options,
                               std::size_t n) {
   auto pick = [&rng](std::initializer_list<double> values) {
@@ -554,23 +657,32 @@ SolutionSet RandomScheduleSet(Rng& rng, const MfsOptions& options,
     fragile = 0.125 - rng.UniformReal(0.0, 2.0 * cap_eps);
   } while (!((fragile + cap_eps) - cap_eps > fragile));
 
+  const double neg_inf_delay_share = pick({0.0, 0.25, 0.9});
+  const bool delay_follows_cap = rng.Chance(0.5);
+
   SolutionSet set;
   for (std::size_t i = 0; i < n; ++i) {
     const double cost =
         near(0.5 * static_cast<double>(rng.UniformInt(0, 15)),
              options.CostEps());
-    const double cap = near(cap_bases[static_cast<std::size_t>(
-                                rng.UniformInt(0, kCapBases - 1))],
-                            options.CapEps());
+    const auto cap_base = rng.UniformInt(0, kCapBases - 1);
+    const double cap =
+        near(cap_bases[static_cast<std::size_t>(cap_base)], options.CapEps());
     Pwl arr = Pwl::Line(pick({0.0, 10.0, 20.0, 40.0}), pick({0.0, 5.0, 20.0}));
     if (rng.Chance(0.3)) {
       arr = Pwl::Max(arr, Pwl::Line(pick({15.0, 30.0}), pick({2.0, 10.0})));
+    } else if (rng.Chance(0.1)) {
+      arr = Pwl::NegInf();
     }
+    const auto delay_level =
+        delay_follows_cap ? cap_base : rng.UniformInt(0, 3);
+    const double delay =
+        rng.Chance(neg_inf_delay_share)
+            ? -kInf
+            : near(10.0 * static_cast<double>(delay_level),
+                   options.DelayEps());
     SolutionPtr s = Make(
-        cost, cap,
-        near(10.0 * static_cast<double>(rng.UniformInt(0, 3)),
-             options.DelayEps()),
-        std::move(arr),
+        cost, cap, delay, std::move(arr),
         rng.Chance(0.5) ? Pwl::NegInf()
                         : Pwl::Line(pick({0.0, 25.0}), pick({1.0, 8.0})));
     s->stage_span_um = pick({0.0, 0.0, 100.0, 200.0});
@@ -615,7 +727,9 @@ void ExpectSameStats(const MfsStats& a, const MfsStats& b) {
 /// Divide-and-conquer ComputeMfs follows the index-order Fig. 4 schedule
 /// exactly: same survivors in the same order, same valid regions, and
 /// every counter equal, under the exact and the approximate slacks and
-/// at two recursion depths.
+/// at two recursion depths.  Sets of up to 600 entries make the top cross
+/// steps' cap walks span several blocks of one parity and end inside a
+/// partial block.
 TEST(MfsSchedule, DivideConquerMatchesIndexOrderReference) {
   MfsOptions exact;
   MfsOptions approximate = MfsOptions::Approximate();
@@ -628,7 +742,7 @@ TEST(MfsSchedule, DivideConquerMatchesIndexOrderReference) {
       SCOPED_TRACE(::testing::Message() << "trial " << trial << " cost_eps "
                                         << options.CostEps() << " base_case "
                                         << options.base_case);
-      const auto n = static_cast<std::size_t>(rng.UniformInt(2, 160));
+      const auto n = static_cast<std::size_t>(rng.UniformInt(2, 600));
       const SolutionSet input = RandomScheduleSet(rng, options, n);
       const SolutionSet copy = DeepCopy(input);
 
@@ -650,6 +764,34 @@ TEST(MfsSchedule, DivideConquerMatchesIndexOrderReference) {
   EXPECT_GT(total.pruned_partial, 1000u);
   EXPECT_GT(total.predictive_skipped, 10000u);
   EXPECT_GT(total.region_tests, 10000u);
+}
+
+/// A base_case below 1 acts as 1: a one-entry range cannot be split, so
+/// 0 used to recurse forever on it (a three-solution set crashed).
+TEST(MfsSchedule, BaseCaseZeroActsAsOne) {
+  MfsOptions zero;
+  zero.base_case = 0;
+  MfsOptions one;
+  one.base_case = 1;
+  Rng rng(20261022);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE(::testing::Message() << "trial " << trial);
+    const auto n =
+        trial == 0 ? 3 : static_cast<std::size_t>(rng.UniformInt(1, 160));
+    const SolutionSet input = RandomScheduleSet(rng, one, n);
+    const SolutionSet copy = DeepCopy(input);
+
+    MfsStats got;
+    const SolutionSet out = ComputeMfs(input, zero, &got);
+    MfsStats want;
+    const SolutionSet ref = ComputeMfs(copy, one, &want);
+
+    ExpectSameStats(got, want);
+    ASSERT_EQ(Positions(input, out), Positions(copy, ref));
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i]->valid, ref[i]->valid) << "survivor " << i;
+    }
+  }
 }
 
 /// The options the already-minimal prefix must be exact under: the exact
