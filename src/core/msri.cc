@@ -1,8 +1,6 @@
 #include "core/msri.h"
 
 #include <algorithm>
-#include <exception>
-#include <optional>
 
 #include "common/check.h"
 #include "common/numeric.h"
@@ -23,17 +21,8 @@ struct Context {
   /// Observability sink; null disables all recording (see MsriOptions).
   obs::StatsSink* sink;
   /// Request-scoped trace; null disables span recording (see
-  /// MsriOptions::trace).  Thread-confined with no merge, so worker
-  /// contexts carry null.
+  /// MsriOptions::trace).
   obs::Trace* trace = nullptr;
-  /// Intra-net fan-out executor; null keeps the traversal serial (see
-  /// MsriOptions::executor).  Worker sub-contexts carry the executor on
-  /// so deep branches keep fanning out — TaskGroup's helping Wait makes
-  /// nested fan-out on a shared pool deadlock-free.
-  Executor* executor = nullptr;
-  /// Node count of every rooted subtree; only populated (non-null) when
-  /// the executor is set.  Guards the fan-out threshold.
-  const std::vector<std::size_t>* subtree_nodes = nullptr;
   /// Upper bound on any reachable external capacitance: the whole net's
   /// capacitance (wires at maximum width, fattest pins, every insertion
   /// point buffered with the fattest repeater side).  Solutions only need
@@ -336,77 +325,20 @@ SolutionSet RepeaterSolutions(Context& ctx, NodeId v, SolutionSet set) {
   return set;
 }
 
-/// Joined and pruned solutions of all children of `v`, each child set
-/// augmented through its parent edge.  `Solve` is the recursive driver.
+/// The pruned solution set of the subtree rooted at `v`: the recursive
+/// driver of the bottom-up pass.
 SolutionSet Solve(Context& ctx, NodeId v);
 
-/// Per-child unit shared by the serial fold and the parallel fan-out:
-/// solve the subtree, augment through the parent edge, prune.  Pruning
-/// the augmented set before the join keeps the pairwise product small —
+/// Solve each child subtree, augment it through its parent edge, prune,
+/// and fold the children's sets with JoinSets (Fig. 7).  Pruning the
+/// augmented set before the join keeps the pairwise product small —
 /// essential once wire sizing multiplies each set by the number of width
 /// choices.
-SolutionSet ChildSolutions(Context& ctx, NodeId c) {
-  return ctx.Mfs(Augment(ctx, c, Solve(ctx, c)));
-}
-
-/// The fan-out is worth its overhead only when at least two siblings
-/// carry substantial subtrees (MsriOptions::parallel_min_nodes).
-bool ShouldParallelize(const Context& ctx,
-                       const std::vector<NodeId>& children) {
-  if (ctx.executor == nullptr || children.size() < 2) return false;
-  std::size_t heavy = 0;
-  for (const NodeId c : children) {
-    if ((*ctx.subtree_nodes)[c] >= ctx.options.parallel_min_nodes) ++heavy;
-  }
-  return heavy >= 2;
-}
-
 SolutionSet CombineChildren(Context& ctx, NodeId v) {
-  const std::vector<NodeId>& children = ctx.rooted.Children(v);
-  if (ShouldParallelize(ctx, children)) {
-    // Independent sibling subtrees (the JoinSets inputs of Fig. 7) as
-    // separate tasks, results in index-addressed slots.  Each task keeps
-    // its own MsriStats and registry, merged into the run's after the
-    // barrier (also on throw): sums and maxes, so exact at any count.
-    std::vector<SolutionSet> sets(children.size());
-    std::vector<MsriStats> stats(children.size());
-    std::vector<obs::RunStats> registries(
-        ctx.sink != nullptr ? children.size() : 0);
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(children.size());
-    for (std::size_t i = 0; i < children.size(); ++i) {
-      tasks.push_back([&ctx, &sets, &stats, &registries, &children, i] {
-        std::optional<obs::StatsSink> sink;
-        if (!registries.empty()) sink.emplace(&registries[i]);
-        Context sub = ctx;
-        sub.stats = &stats[i];
-        sub.sink = sink ? &*sink : nullptr;
-        sub.trace = nullptr;
-        const obs::PwlStatsScope pwl_scope(sub.sink);
-        sets[i] = ChildSolutions(sub, children[i]);
-      });
-    }
-    std::exception_ptr failed;
-    try {
-      ctx.executor->RunAll(std::move(tasks));
-    } catch (...) {
-      failed = std::current_exception();
-    }
-    for (const MsriStats& s : stats) *ctx.stats += s;
-    for (const obs::RunStats& r : registries) ctx.sink->Registry().MergeFrom(r);
-    if (failed) std::rethrow_exception(failed);
-    // The sequential fold, identical to the serial path below.
-    SolutionSet acc = std::move(sets[0]);
-    for (std::size_t i = 1; i < sets.size(); ++i) {
-      acc = JoinSets(ctx, v, acc, sets[i]);
-    }
-    return acc;
-  }
-
   SolutionSet acc;
   bool first = true;
-  for (const NodeId c : children) {
-    SolutionSet augmented = ChildSolutions(ctx, c);
+  for (const NodeId c : ctx.rooted.Children(v)) {
+    SolutionSet augmented = ctx.Mfs(Augment(ctx, c, Solve(ctx, c)));
     if (first) {
       acc = std::move(augmented);
       first = false;
@@ -582,16 +514,6 @@ const Point* FirstFeasible(const std::vector<Point>& pareto,
 
 }  // namespace
 
-MsriStats& MsriStats::operator+=(const MsriStats& other) {
-  solutions_generated += other.solutions_generated;
-  join_candidates += other.join_candidates;
-  join_pruned_early += other.join_pruned_early;
-  max_set_size = std::max(max_set_size, other.max_set_size);
-  max_pwl_segments = std::max(max_pwl_segments, other.max_pwl_segments);
-  mfs += other.mfs;
-  return *this;
-}
-
 const TradeoffPoint* MsriResult::MinCostFeasible(double spec_ps) const {
   return FirstFeasible(pareto_, spec_ps);
 }
@@ -687,26 +609,10 @@ MsriResult RunMsri(const RcTree& tree, const Technology& tech,
   }
   x_max *= 1.0 + 1e-9;  // Guard the boundary against rounding.
 
-  // The set_observer callback has no thread-safety contract, so its
-  // presence forces the serial traversal.
-  Executor* executor =
-      options.set_observer ? nullptr : options.executor;
-  std::vector<std::size_t> subtree_nodes;
-  if (executor != nullptr) {
-    // Bottom-up subtree node counts gate the fan-out threshold.
-    subtree_nodes.assign(tree.NumNodes(), 1);
-    const std::vector<NodeId>& pre = rooted.Preorder();
-    for (auto it = pre.rbegin(); it != pre.rend(); ++it) {
-      if (*it != root) subtree_nodes[rooted.Parent(*it)] += subtree_nodes[*it];
-    }
-  }
-
   MsriResult result;
-  Context ctx{tree,     rooted,   tech,
-              options,  &result.stats_, options.stats,
-              options.trace,
-              executor, executor != nullptr ? &subtree_nodes : nullptr,
-              x_max};
+  Context ctx{tree,          rooted,         tech,
+              options,       &result.stats_, options.stats,
+              options.trace, x_max};
 
   try {
     // While the DP runs, the PWL primitives report breakpoint counts to

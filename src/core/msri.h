@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "common/cancel.h"
-#include "common/executor.h"
 #include "core/mfs.h"
 #include "core/solution.h"
 #include "obs/stats.h"
@@ -89,27 +88,11 @@ struct MsriOptions {
   /// Request-scoped tracing (src/obs/trace.h): when non-null, the DP
   /// opens one span per phase invocation with the phase timer, so a
   /// per-request trace attributes DP time to LeafSolutions / Augment /
-  /// JoinSets / RepeaterSolutions / RootSolutions / MFS.  A trace has no
-  /// merge, so parallel worker tasks trace nothing.  Null (the default)
-  /// costs one pointer compare per phase.  Non-semantic: excluded from
+  /// JoinSets / RepeaterSolutions / RootSolutions / MFS.  Confined to the
+  /// calling thread, like the DP itself.  Null (the default) costs one
+  /// pointer compare per phase.  Non-semantic: excluded from
   /// service::Canonicalize like `cancel`.
   obs::Trace* trace = nullptr;
-  /// Intra-net parallelism (docs/RUNTIME.md): when non-null, independent
-  /// sibling subtrees at branch nodes are solved as separate executor
-  /// tasks before the sequential JoinSets fold — the fan-out the paper's
-  /// Section IV structure makes embarrassingly parallel.  Deterministic:
-  /// per-child sets are computed exactly as in a serial run and folded in
-  /// child order.  Each task keeps its own MsriStats and registry, merged
-  /// into the run's after the barrier, so results, counters, timer calls
-  /// and histogram counts equal a serial run's at any thread count (phase
-  /// times are summed across threads).  Ignored when `set_observer` is
-  /// set (the callback is not required to be thread-safe).  Null (the
-  /// default) keeps the DP fully serial.
-  Executor* executor = nullptr;
-  /// Fan-out guard: a branch parallelizes only when at least two of its
-  /// child subtrees span this many nodes, so small nets stay serial and
-  /// task overhead cannot dominate.
-  std::size_t parallel_min_nodes = 64;
   /// Debug/teaching hook: invoked with every node's finalized solution
   /// set as the bottom-up pass completes it (after MFS pruning).
   std::function<void(NodeId, const SolutionSet&)> set_observer;
@@ -149,9 +132,6 @@ struct MsriStats {
   std::size_t max_set_size = 0;       ///< Largest per-node set after MFS.
   std::size_t max_pwl_segments = 0;   ///< Largest PWL encountered.
   MfsStats mfs;
-
-  /// Sums the counts, takes the maxima (order-insensitive).
-  MsriStats& operator+=(const MsriStats& other);
 };
 
 /// One Pareto point condensed to its scalar coordinates — the part of a

@@ -16,12 +16,11 @@
 //      trajectories stay comparable across PRs.
 //
 // Everything here is single-threaded by design; nothing is atomic.  The
-// parallel batch engine (src/runtime) and RunMsri's intra-net fan-out keep
-// that contract by giving every net (fan-out task) its own thread-confined
-// RunStats/StatsSink and folding them into one registry *after* the join
-// barrier via RunStats::MergeFrom — never by sharing a sink across
-// threads.  Instrument pointers handed out
-// by RunStats stay valid for the registry's lifetime (node-based map
+// parallel batch engine (src/runtime) keeps that contract by giving every
+// net its own thread-confined RunStats/StatsSink and folding them into one
+// registry *after* the join barrier via RunStats::MergeFrom — never by
+// sharing a sink across threads.  Instrument pointers handed out by
+// RunStats stay valid for the registry's lifetime (node-based map
 // storage).
 #ifndef MSN_OBS_STATS_H
 #define MSN_OBS_STATS_H

@@ -6,9 +6,10 @@
 //      be null; opening a span through a null trace is exactly one pointer
 //      compare — ScopedSpan does not read the clock when its Trace* is null.
 //   2. Thread-confined by design; nothing is atomic except the process-wide
-//      trace-id generator.  One Trace belongs to one request on one thread.
-//      Parallel RunMsri workers receive a null trace: unlike a registry, a
-//      span tree has no merge.
+//      trace-id generator.  One Trace belongs to one request on one thread;
+//      unlike a registry, a span tree has no merge, so the batch engine
+//      and the closure loop, whose nets run concurrently on pool threads,
+//      reject a trace in their per-net options.
 //   3. Bounded memory under storm load.  The span buffer is a fixed-capacity
 //      ring-less buffer: once full, further spans are counted as dropped
 //      instead of recorded, so a pathological request cannot balloon the

@@ -40,15 +40,13 @@ BatchResult RunBatch(const std::vector<PreparedJob>& prepared,
   batch.nets.resize(prepared.size());
 
   ThreadPool pool(batch.jobs);
-  PoolExecutor intra(&pool);
   // Occupancy telemetry only; results never depend on it.
   std::atomic<std::size_t> running{0};
   {
     TaskGroup group(&pool);
     for (std::size_t i = 0; i < prepared.size(); ++i) {
       const auto submitted = std::chrono::steady_clock::now();
-      group.Run([&batch, &prepared, &tech, &options, &intra, &running, i,
-                 submitted] {
+      group.Run([&batch, &prepared, &tech, &options, &running, i, submitted] {
         const PreparedJob& job = prepared[i];
         NetOutcome& out = batch.nets[i];
         out.name = job.name;
@@ -64,10 +62,6 @@ BatchResult RunBatch(const std::vector<PreparedJob>& prepared,
           sink.emplace(&out.stats);
           opt.stats = &*sink;
           out.stats.SetLabel("net", out.name);
-        }
-        if (options.intra_net_parallelism) {
-          opt.executor = &intra;
-          opt.parallel_min_nodes = options.parallel_min_nodes;
         }
         try {
           if (job.path != nullptr) {
@@ -118,9 +112,9 @@ void CheckJobOptions(const MsriOptions& options) {
   MSN_CHECK_MSG(options.stats == nullptr,
                 "batch jobs must not carry a stats sink — the batch "
                 "engine owns per-net sinks (BatchOptions::collect_stats)");
-  MSN_CHECK_MSG(options.executor == nullptr,
-                "batch jobs must not carry an executor — the batch "
-                "engine owns the pool (BatchOptions::intra_net_parallelism)");
+  MSN_CHECK_MSG(options.trace == nullptr,
+                "batch jobs must not carry a trace (an obs::Trace belongs "
+                "to one thread; nets run on pool threads)");
   MSN_CHECK_MSG(!options.set_observer,
                 "batch jobs must not carry a set_observer (the callback "
                 "would run on pool threads)");

@@ -30,9 +30,9 @@
 
 namespace msn::runtime {
 
-/// One net to optimize.  `options.stats`, `options.set_observer`, and
-/// `options.executor` must be unset — the batch engine owns per-net
-/// sinks and the pool (checked).
+/// One net to optimize.  `options.stats`, `options.trace` and
+/// `options.set_observer` must be unset — the batch engine owns per-net
+/// sinks, and nets run on pool threads (checked).
 struct BatchJob {
   std::string name;  ///< Report key (file path or a synthetic label).
   RcTree tree;
@@ -40,7 +40,7 @@ struct BatchJob {
   /// fires mid-run abandons that net with a contained "cancelled" error
   /// entry (like any other per-net failure) while the rest of the batch
   /// proceeds — one shared token cancels the whole batch cooperatively.
-  /// stats/executor/set_observer must stay null (the engine owns them).
+  /// stats/trace/set_observer must stay null (checked, see above).
   MsriOptions options;
 };
 
@@ -50,11 +50,6 @@ struct BatchOptions {
   /// Collect per-net run stats and the merged aggregate.  Off keeps the
   /// obs zero-cost-when-null contract: no sinks are created at all.
   bool collect_stats = false;
-  /// Also parallelize inside each net (MsriOptions::executor) on the
-  /// same pool.  Worth it for a few heavy nets; for large batches the
-  /// cross-net fan-out already saturates the pool.
-  bool intra_net_parallelism = false;
-  std::size_t parallel_min_nodes = 64;
 };
 
 /// Outcome of one net, in input order.  Exactly one of `result` /
@@ -92,8 +87,9 @@ struct BatchResult {
 };
 
 /// Optimizes every job on a pool of `options.jobs` threads.  Throws only
-/// on precondition violations (a job carrying stats/executor hooks);
-/// per-net failures are contained into NetOutcome/BatchError entries.
+/// on precondition violations (a job carrying stats/trace/set_observer
+/// hooks); per-net failures are contained into NetOutcome/BatchError
+/// entries.
 BatchResult OptimizeBatch(std::vector<BatchJob> jobs,
                           const Technology& tech,
                           const BatchOptions& options);

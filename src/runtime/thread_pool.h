@@ -11,8 +11,11 @@
 //   2. Deadlock-free nesting.  TaskGroup::Wait *helps*: the waiting
 //      thread drains its own group's pending tasks instead of blocking,
 //      so a pool worker may itself fan out a nested group onto the same
-//      pool (batch-level and intra-net parallelism share one pool) and
-//      always makes progress even when every worker is busy.
+//      pool and always makes progress even when every worker is busy.
+//      No production caller nests today.  The helping is also why the
+//      batch engine runs up to jobs+1 nets at once: the waiting caller
+//      runs tasks next to the pool's `jobs` workers (ROADMAP "Knobs that
+//      mean what they say").
 //   3. Exception capture.  The first exception a group task throws is
 //      rethrown from Wait(); Async() delivers exceptions through its
 //      std::future.  A throwing task never takes down a worker thread.
@@ -23,6 +26,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -31,8 +35,6 @@
 #include <type_traits>
 #include <utility>
 #include <vector>
-
-#include "common/executor.h"
 
 namespace msn::runtime {
 
@@ -124,22 +126,6 @@ class TaskGroup {
 
   ThreadPool* pool_;
   std::shared_ptr<State> state_ = std::make_shared<State>();
-};
-
-/// Adapter running the core DP's intra-net fan-outs (see
-/// MsriOptions::executor) on a pool via one TaskGroup per RunAll.
-class PoolExecutor final : public Executor {
- public:
-  explicit PoolExecutor(ThreadPool* pool) : pool_(pool) {}
-
-  void RunAll(std::vector<std::function<void()>> tasks) override {
-    TaskGroup group(pool_);
-    for (std::function<void()>& task : tasks) group.Run(std::move(task));
-    group.Wait();
-  }
-
- private:
-  ThreadPool* pool_;
 };
 
 }  // namespace msn::runtime

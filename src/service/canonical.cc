@@ -228,11 +228,10 @@ CanonicalRequest Canonicalize(const RcTree& tree, const Technology& tech,
   }
 
   // Every MsriOptions field that can change the frontier.  Excluded by
-  // design: stats / executor / parallel_min_nodes / set_observer
-  // (observability and scheduling hooks; the runtime determinism
-  // contract guarantees result equality), mfs.base_case (recursion
-  // cutover, performance-only), and root (already encoded by rooting
-  // the traversal at it).
+  // design: stats / trace / set_observer / cancel (observability and
+  // cancellation hooks, which never change a result), mfs.base_case
+  // (recursion cutover, performance-only), and root (already encoded by
+  // rooting the traversal at it).
   text += "|opt:";
   AppendBool(&text, options.insert_repeaters);
   AppendBool(&text, options.size_drivers);

@@ -9,9 +9,9 @@
 // and every MsriOptions field that affects results.  Deliberately
 // excluded: node ids and edge declaration order (the form is built by a
 // rooted traversal with children merged as a sorted multiset), plane
-// coordinates (rendering only), instrument hooks (stats / executor /
-// set_observer / parallel_min_nodes — they must not change results, by
-// the runtime layer's determinism contract), and library entry names.
+// coordinates (rendering only), instrument hooks (stats / trace /
+// set_observer / cancel — they observe or stop the DP and never change
+// its results), and library entry names.
 //
 // The fingerprint is a 128-bit hash of the canonical text.  The cache
 // never trusts it alone: CanonicalRequest keeps the text, and equality

@@ -34,10 +34,9 @@ ClosureResult CloseTiming(const Design& design, const Technology& tech,
   MSN_CHECK_MSG(options.max_iters >= 1, "max_iters must be >= 1");
   MSN_CHECK_MSG(options.base.stats == nullptr &&
                     options.base.trace == nullptr &&
-                    options.base.executor == nullptr &&
                     !options.base.set_observer,
                 "closure owns instrumentation; base options must not "
-                "carry stats/trace/executor/set_observer hooks");
+                "carry stats/trace/set_observer hooks");
 
   ClosureResult result;
   result.jobs = options.jobs;

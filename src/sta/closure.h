@@ -49,8 +49,8 @@ struct ClosureOptions {
   /// (0 = all).  When an iteration improves nothing, the window doubles
   /// before the loop may declare convergence.
   std::size_t nets_per_iter = 0;
-  /// Per-net DP options; stats/trace/executor/set_observer must be
-  /// unset (the closure owns instrumentation).  `base.cancel` is
+  /// Per-net DP options; stats/trace/set_observer must be unset (the
+  /// closure owns instrumentation).  `base.cancel` is
   /// honored both between iterations and inside the batch.
   MsriOptions base;
   /// Solution-cache budget for the per-net frontiers.

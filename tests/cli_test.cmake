@@ -97,6 +97,12 @@ run_cli(2 out optimize net.msn --bogus-flag 1)
 if(NOT out MATCHES "unknown flag '--bogus-flag'" OR NOT out MATCHES "usage:")
   message(FATAL_ERROR "unknown flag not rejected with usage: ${out}")
 endif()
+# A removed flag is an unknown flag like any other: every net's DP runs
+# serially, so optimize-batch has no per-net parallel mode to select.
+run_cli(2 out optimize-batch . --intra-net)
+if(NOT out MATCHES "unknown flag '--intra-net'" OR NOT out MATCHES "usage:")
+  message(FATAL_ERROR "removed optimize-batch flag not rejected: ${out}")
+endif()
 run_cli(2 out gen --terminals 4 --stats -o x.msn)  # valid elsewhere only
 run_cli(2 out serve --port)                        # flag missing a value
 if(NOT out MATCHES "needs a value")

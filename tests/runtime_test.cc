@@ -1,8 +1,7 @@
 // The msn::runtime batch engine (docs/RUNTIME.md): thread-pool and
 // task-group semantics, batch determinism across thread counts (the
-// byte-identical report contract), per-net error containment, intra-net
-// parallel DP equivalence, and the degenerate-spec handling of
-// MsriResult::MinCostFeasible.  This suite is the TSan gate for the
+// byte-identical report contract), per-net error containment, and the
+// degenerate-spec handling of MsriResult::MinCostFeasible.  This suite is the TSan gate for the
 // thread pool (CI runs it under -DMSN_SANITIZE=thread).
 #include "runtime/batch.h"
 #include "runtime/thread_pool.h"
@@ -14,6 +13,7 @@
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -23,12 +23,12 @@
 #include <unistd.h>
 
 #include "common/check.h"
-#include "common/executor.h"
 #include "common/numeric.h"
 #include "core/msri.h"
 #include "io/netfile.h"
 #include "netgen/netgen.h"
 #include "obs/stats.h"
+#include "obs/trace.h"
 #include "test_util.h"
 
 namespace msn {
@@ -39,7 +39,6 @@ using runtime::BatchJob;
 using runtime::BatchOptions;
 using runtime::BatchResult;
 using runtime::OptimizeBatch;
-using runtime::PoolExecutor;
 using runtime::TaskGroup;
 using runtime::ThreadPool;
 using testing::SmallTech;
@@ -153,28 +152,6 @@ TEST(TaskGroup, DeadlineBoundsAdmissionNotCompletion) {
   group.Wait();
   EXPECT_EQ(ran.load(), 8);
   EXPECT_EQ(expired.load(), 8);
-}
-
-TEST(Executors, PoolMatchesSerialSemantics) {
-  std::vector<int> serial_out(16, 0);
-  std::vector<int> pool_out(16, 0);
-  auto make_tasks = [](std::vector<int>& out) {
-    std::vector<std::function<void()>> tasks;
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      tasks.push_back([&out, i] { out[i] = static_cast<int>(i * i); });
-    }
-    return tasks;
-  };
-  SerialExecutor serial;
-  serial.RunAll(make_tasks(serial_out));
-  ThreadPool pool(3);
-  PoolExecutor pool_exec(&pool);
-  pool_exec.RunAll(make_tasks(pool_out));
-  EXPECT_EQ(serial_out, pool_out);
-
-  EXPECT_THROW(
-      pool_exec.RunAll({[] { throw std::runtime_error("boom"); }}),
-      std::runtime_error);
 }
 
 // ---------------------------------------------------------------------
@@ -372,12 +349,24 @@ TEST(Batch, AggregateStatsMergePerNetRegistries) {
 }
 
 TEST(Batch, RejectsJobsCarryingObservabilityHooks) {
+  // Each hook is confined to one thread, but nets run on pool threads.
   obs::RunStats stats;
   obs::StatsSink sink(&stats);
-  std::vector<BatchJob> jobs = MakeJobs(1);
-  jobs[0].options.stats = &sink;
-  EXPECT_THROW(OptimizeBatch(std::move(jobs), SmallTech(), BatchOptions{}),
-               CheckError);
+  obs::Trace trace(obs::NewTraceId());
+  const std::vector<std::function<void(MsriOptions&)>> hooks = {
+      [&sink](MsriOptions& o) { o.stats = &sink; },
+      [&trace](MsriOptions& o) { o.trace = &trace; },
+      [](MsriOptions& o) {
+        o.set_observer = [](NodeId, const SolutionSet&) {};
+      },
+  };
+  for (const auto& hook : hooks) {
+    std::vector<BatchJob> jobs = MakeJobs(1);
+    hook(jobs[0].options);
+    EXPECT_THROW(OptimizeBatch(std::move(jobs), SmallTech(), BatchOptions{}),
+                 CheckError);
+  }
+  EXPECT_TRUE(trace.Spans().empty());
 }
 
 TEST(Batch, CancelledNetsAreContainedErrorEntries) {
@@ -400,96 +389,6 @@ TEST(Batch, CancelledNetsAreContainedErrorEntries) {
   EXPECT_TRUE(batch.nets[1].ok);
   EXPECT_GE(batch.nets[1].result.Pareto().size(), 1u);
   EXPECT_FALSE(batch.nets[2].ok);
-}
-
-// ---------------------------------------------------------------------
-// Intra-net parallelism.
-
-TEST(IntraNet, ParallelSubtreeSolvesMatchSerialExactly) {
-  const Technology tech = SmallTech();
-  const RcTree tree = ExperimentNet(3, /*terminals=*/12);
-
-  const MsriResult serial = RunMsri(tree, tech, MsriOptions{});
-
-  ThreadPool pool(4);
-  PoolExecutor exec(&pool);
-  MsriOptions par;
-  par.executor = &exec;
-  par.parallel_min_nodes = 1;  // Force fan-out at every branch.
-  const MsriResult parallel = RunMsri(tree, tech, par);
-
-  ASSERT_EQ(serial.Pareto().size(), parallel.Pareto().size());
-  for (std::size_t i = 0; i < serial.Pareto().size(); ++i) {
-    EXPECT_EQ(serial.Pareto()[i].cost, parallel.Pareto()[i].cost);
-    EXPECT_EQ(serial.Pareto()[i].ard_ps, parallel.Pareto()[i].ard_ps);
-    EXPECT_EQ(serial.Pareto()[i].num_repeaters,
-              parallel.Pareto()[i].num_repeaters);
-  }
-  // Task-local stats merge back to the serial totals (sums and maxes).
-  EXPECT_EQ(serial.Stats().solutions_generated,
-            parallel.Stats().solutions_generated);
-  EXPECT_EQ(serial.Stats().max_set_size, parallel.Stats().max_set_size);
-  EXPECT_EQ(serial.Stats().mfs.candidates_in,
-            parallel.Stats().mfs.candidates_in);
-  EXPECT_EQ(serial.Stats().mfs.candidates_out,
-            parallel.Stats().mfs.candidates_out);
-}
-
-TEST(IntraNet, RegistryMatchesSerial) {
-  const Technology tech = SmallTech();
-  const RcTree tree = ExperimentNet(3, /*terminals=*/12);
-
-  obs::RunStats serial_reg;
-  obs::StatsSink serial_sink(&serial_reg);
-  MsriOptions serial;
-  serial.stats = &serial_sink;
-  RunMsri(tree, tech, serial);
-
-  ThreadPool pool(4);
-  PoolExecutor exec(&pool);
-  obs::RunStats parallel_reg;
-  obs::StatsSink parallel_sink(&parallel_reg);
-  MsriOptions par;
-  par.stats = &parallel_sink;
-  par.executor = &exec;
-  par.parallel_min_nodes = 1;  // Force fan-out at every branch.
-  RunMsri(tree, tech, par);
-
-  // Worker tasks are instrumented like the caller: the same counters, the
-  // same number of timed phase invocations, the same number of recorded
-  // set sizes and PWL results.  Only durations may differ.
-  ASSERT_EQ(serial_reg.Counters().size(), parallel_reg.Counters().size());
-  for (const auto& [name, c] : serial_reg.Counters()) {
-    ASSERT_EQ(parallel_reg.Counters().count(name), 1u) << name;
-    EXPECT_EQ(parallel_reg.Counters().at(name).Value(), c.Value()) << name;
-  }
-  ASSERT_EQ(serial_reg.Timers().size(), parallel_reg.Timers().size());
-  for (const auto& [name, t] : serial_reg.Timers()) {
-    ASSERT_EQ(parallel_reg.Timers().count(name), 1u) << name;
-    EXPECT_EQ(parallel_reg.Timers().at(name).Calls(), t.Calls()) << name;
-  }
-  ASSERT_EQ(serial_reg.Histograms().size(),
-            parallel_reg.Histograms().size());
-  for (const auto& [name, h] : serial_reg.Histograms()) {
-    ASSERT_EQ(parallel_reg.Histograms().count(name), 1u) << name;
-    EXPECT_EQ(parallel_reg.Histograms().at(name).Count(), h.Count()) << name;
-  }
-  EXPECT_GT(serial_reg.Histograms().at("msri.set_size").Count(), 0u);
-  EXPECT_GT(serial_reg.Histograms().at("pwl.shift.segments").Count(), 0u);
-  EXPECT_GT(serial_reg.Counters().at("mfs.calls").Value(), 0u);
-}
-
-TEST(IntraNet, BatchWithIntraNetParallelismStaysDeterministic) {
-  const Technology tech = SmallTech();
-  BatchOptions plain;
-  plain.jobs = 1;
-  BatchOptions intra;
-  intra.jobs = 4;
-  intra.intra_net_parallelism = true;
-  intra.parallel_min_nodes = 1;
-  const BatchResult r1 = OptimizeBatch(MakeJobs(4), tech, plain);
-  const BatchResult r2 = OptimizeBatch(MakeJobs(4), tech, intra);
-  EXPECT_EQ(Report(r1, 900.0), Report(r2, 900.0));
 }
 
 // ---------------------------------------------------------------------

@@ -192,7 +192,6 @@ TEST(Canonical, IgnoresNonSemanticOptions) {
   obs::StatsSink sink(&run);
   MsriOptions hooked;
   hooked.stats = &sink;
-  hooked.parallel_min_nodes = 7;
   // A cancellation token is an execution concern, not a problem input:
   // cancellable and plain runs must share a cache fingerprint.
   CancellationSource source;

@@ -11,8 +11,7 @@
 //       the instrumentation tables; --stats=FILE.json writes the
 //       machine-readable run report (docs/OBSERVABILITY.md).
 //   msn_cli optimize-batch DIR|MANIFEST [--jobs N] [--spec PS]
-//           [--mode repeaters|sizing|joint] [--intra-net]
-//           [--stats=FILE.json]
+//           [--mode repeaters|sizing|joint] [--stats=FILE.json]
 //       Optimize every .msn net of a directory (sorted) or manifest (one
 //       path per line, # comments) on N pool threads with per-net error
 //       containment.  The report on stdout is byte-identical at any
@@ -103,8 +102,7 @@ struct UsageError : std::runtime_error {
       " [--mode repeaters|sizing|joint] [--stats[=FILE.json]]"
       " [-o SOLUTION.msn]\n"
       "  msn_cli optimize-batch DIR|MANIFEST [--jobs N] [--spec PS]"
-      " [--mode repeaters|sizing|joint] [--intra-net]"
-      " [--stats=FILE.json]\n"
+      " [--mode repeaters|sizing|joint] [--stats=FILE.json]\n"
       "  msn_cli render NET.msn [SOLUTION.msn]\n"
       "  msn_cli gen-design --nets N [--seed S] [--terminals-min A]"
       " [--terminals-max B] [--grid UM] [--required-factor F]"
@@ -139,8 +137,8 @@ std::map<std::string, std::string> ParseFlags(
       }
       if (eq != std::string::npos) {
         flags[name] = arg.substr(eq + 1);
-      } else if (arg == "--stats" || arg == "--intra-net") {
-        flags[arg] = "";  // Value-less flags.
+      } else if (arg == "--stats") {
+        flags[arg] = "";  // Value-less flag.
       } else {
         if (i + 1 >= argc) {
           throw UsageError("flag " + arg + " needs a value");
@@ -362,9 +360,8 @@ int CmdOptimize(int argc, char** argv) {
 
 int CmdOptimizeBatch(int argc, char** argv) {
   std::vector<std::string> pos;
-  const auto flags =
-      ParseFlags(argc, argv, 2, &pos,
-                 {"--jobs", "--spec", "--mode", "--intra-net", "--stats"});
+  const auto flags = ParseFlags(argc, argv, 2, &pos,
+                                {"--jobs", "--spec", "--mode", "--stats"});
   MSN_CHECK_MSG(!pos.empty(),
                 "optimize-batch requires a directory or manifest");
   const Technology tech = DefaultTechnology();
@@ -378,7 +375,6 @@ int CmdOptimizeBatch(int argc, char** argv) {
     if (jobs < 1) throw CliError("--jobs must be at least 1");
     batch_opt.jobs = static_cast<std::size_t>(jobs);
   }
-  batch_opt.intra_net_parallelism = flags.count("--intra-net") > 0;
   const bool want_stats = flags.count("--stats") > 0;
   if (want_stats && flags.at("--stats").empty()) {
     throw CliError("optimize-batch --stats requires =FILE.json");
